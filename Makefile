@@ -8,9 +8,9 @@ SHELL       := /bin/bash
 GO        ?= go
 BENCHTIME ?= 200x
 # The microbenchmark set archived per PR: scheduler (wheel vs heap),
-# batched ticks, descriptor stores (flat vs sharded), the data-plane
-# fast paths from PR 1, and PR 5's pooled-vs-unpooled infection pair.
-BENCH     ?= SchedulerSteadyState|SchedulerBatchedTicks|DescriptorStore|CellRelayHop|SealOpenSession|HiddenServiceDial|InfectFrom
+# batched ticks, the data-plane fast paths from PR 1, and PR 5's
+# pooled-vs-unpooled infection pair.
+BENCH     ?= SchedulerSteadyState|SchedulerBatchedTicks|CellRelayHop|SealOpenSession|HiddenServiceDial|InfectFrom
 
 # External lint tool versions are pinned in tools/go.mod (a separate
 # module, so the simulator's go.mod keeps zero dependencies). The
@@ -109,11 +109,6 @@ sweep-smoke:
 	/tmp/onionsim-ci -sweep examples/sweep/hsdir-outage-grid.json -parallel 1 -json > /tmp/onionsim-faults-p1.json
 	/tmp/onionsim-ci -sweep examples/sweep/hsdir-outage-grid.json -parallel 4 -json > /tmp/onionsim-faults-p4.json
 	cmp /tmp/onionsim-faults-p1.json /tmp/onionsim-faults-p4.json
-	# Store-backend A/B: the three DescriptorStore backends must be
-	# observably identical, and the sweep itself byte-deterministic.
-	/tmp/onionsim-ci -sweep examples/sweep/store-ab.json -parallel 1 -json > /tmp/onionsim-store-p1.json
-	/tmp/onionsim-ci -sweep examples/sweep/store-ab.json -parallel 4 -json > /tmp/onionsim-store-p4.json
-	cmp /tmp/onionsim-store-p1.json /tmp/onionsim-store-p4.json
 
 # scenario-smoke runs the whole named-question library in quick mode —
 # every expectation must PASS (non-zero exit otherwise) — and

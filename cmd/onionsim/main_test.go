@@ -10,7 +10,7 @@ import (
 // runIDs resolves -exp the way main does and runs the tasks serially.
 func runIDs(t *testing.T, exp string, quick bool, seed uint64) []experiment.TaskResult {
 	t.Helper()
-	tasks, err := buildTasks(exp, quick, seed, "", "", "")
+	tasks, err := buildTasks(exp, quick, seed, "", "")
 	if err != nil {
 		t.Fatalf("%s: %v", exp, err)
 	}
@@ -43,7 +43,7 @@ func TestBuildTasksKnownExperiments(t *testing.T) {
 }
 
 func TestBuildTasksAllCoversRegistry(t *testing.T) {
-	tasks, err := buildTasks("all", true, 1, "", "", "")
+	tasks, err := buildTasks("all", true, 1, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestBuildTasksAllCoversRegistry(t *testing.T) {
 }
 
 func TestBuildTasksCommaList(t *testing.T) {
-	tasks, err := buildTasks("fig3,table1", true, 1, "", "", "")
+	tasks, err := buildTasks("fig3,table1", true, 1, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,56 +76,43 @@ func TestCollectFig4ProducesFourPanels(t *testing.T) {
 }
 
 func TestBuildTasksRejectsUnknown(t *testing.T) {
-	if _, err := buildTasks("fig99", true, 1, "", "", ""); err == nil {
+	if _, err := buildTasks("fig99", true, 1, "", ""); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if _, err := buildTasks("fig3,fig99", true, 1, "", "", ""); err == nil {
+	if _, err := buildTasks("fig3,fig99", true, 1, "", ""); err == nil {
 		t.Fatal("unknown experiment accepted in a list")
 	}
 }
 
 func TestBuildTasksInlineChurnSpec(t *testing.T) {
-	tasks, err := buildTasks("churn-repair", true, 1, `{"process":"poisson","leave":8}`, "", "")
+	tasks, err := buildTasks("churn-repair", true, 1, `{"process":"poisson","leave":8}`, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tasks[0].Params.Churn == nil || tasks[0].Params.Churn.Leave != 8 {
 		t.Fatalf("-churn not threaded into params: %+v", tasks[0].Params)
 	}
-	if _, err := buildTasks("churn-repair", true, 1, `{"process":"bogus"}`, "", ""); err == nil ||
+	if _, err := buildTasks("churn-repair", true, 1, `{"process":"bogus"}`, ""); err == nil ||
 		!strings.Contains(err.Error(), "unknown process") {
 		t.Fatalf("bad -churn spec accepted: %v", err)
 	}
-	if _, err := buildTasks("churn-repair", true, 1, `not json`, "", ""); err == nil {
+	if _, err := buildTasks("churn-repair", true, 1, `not json`, ""); err == nil {
 		t.Fatal("malformed -churn accepted")
 	}
 }
 
 func TestBuildTasksInlineFaultsSpec(t *testing.T) {
-	tasks, err := buildTasks("hsdir-outage", true, 1, "", `{"outage_frac":0.3,"outage_at_h":2,"retry_attempts":4,"retry_backoff_s":1800}`, "")
+	tasks, err := buildTasks("hsdir-outage", true, 1, "", `{"outage_frac":0.3,"outage_at_h":2,"retry_attempts":4,"retry_backoff_s":1800}`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tasks[0].Params.Faults == nil || tasks[0].Params.Faults.OutageFrac != 0.3 {
 		t.Fatalf("-faults not threaded into params: %+v", tasks[0].Params)
 	}
-	if _, err := buildTasks("hsdir-outage", true, 1, "", `{"outage_frac":2}`, ""); err == nil {
+	if _, err := buildTasks("hsdir-outage", true, 1, "", `{"outage_frac":2}`); err == nil {
 		t.Fatal("bad -faults spec accepted")
 	}
-	if _, err := buildTasks("hsdir-outage", true, 1, "", `not json`, ""); err == nil {
+	if _, err := buildTasks("hsdir-outage", true, 1, "", `not json`); err == nil {
 		t.Fatal("malformed -faults accepted")
-	}
-}
-
-func TestBuildTasksStoreBackend(t *testing.T) {
-	tasks, err := buildTasks("churn-hotlist", true, 1, "", "", "mmap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tasks[0].Params.Store != "mmap" {
-		t.Fatalf("-store not threaded into params: %+v", tasks[0].Params)
-	}
-	if _, err := buildTasks("churn-hotlist", true, 1, "", "", "ramdisk"); err == nil {
-		t.Fatal("bad -store backend accepted")
 	}
 }

@@ -16,9 +16,6 @@ func init() {
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultChurnHotlistConfig(p.Quick)
 			cfg.Seed = p.Seed
-			if p.Store != "" {
-				cfg.Store = p.Store
-			}
 			if p.N > 0 {
 				cfg.Bots = p.N
 			}
@@ -60,8 +57,6 @@ type ChurnHotlistConfig struct {
 	Spec churn.Spec
 	// Seed drives all randomness.
 	Seed uint64
-	// Store selects the tor.DescriptorStore backend ("" = default).
-	Store string
 }
 
 // DefaultChurnHotlistConfig returns the full or quick preset. The
@@ -105,7 +100,6 @@ func RunChurnHotlist(cfg ChurnHotlistConfig) (*Result, error) {
 		PingInterval: cfg.PingInterval,
 		NoNInterval:  cfg.NoNInterval,
 		Rotation:     true,
-		Store:        cfg.Store,
 	})
 	if err != nil {
 		return nil, err

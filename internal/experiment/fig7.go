@@ -15,9 +15,6 @@ func init() {
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultFig7Config(p.Quick)
 			cfg.Seed = p.Seed
-			if p.Store != "" {
-				cfg.Store = p.Store
-			}
 			if p.N > 0 {
 				cfg.Bots = p.N
 			}
@@ -43,8 +40,6 @@ type Fig7Config struct {
 	SampleEvery time.Duration
 	// Seed drives all randomness.
 	Seed uint64
-	// Store selects the tor.DescriptorStore backend ("" = default).
-	Store string
 }
 
 // DefaultFig7Config returns campaign presets.
@@ -59,7 +54,7 @@ func DefaultFig7Config(quick bool) Fig7Config {
 // clone-neighbor fraction and contained fraction over time, ending with
 // the broadcast-reach comparison that demonstrates neutralization.
 func RunFig7(cfg Fig7Config) (*Result, error) {
-	bn, err := core.NewBotNet(cfg.Seed, cfg.Relays, core.BotConfig{DMin: 2, DMax: 4, Store: cfg.Store})
+	bn, err := core.NewBotNet(cfg.Seed, cfg.Relays, core.BotConfig{DMin: 2, DMax: 4})
 	if err != nil {
 		return nil, err
 	}

@@ -16,9 +16,6 @@ func init() {
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultFig8Config(p.Quick)
 			cfg.Seed = p.Seed
-			if p.Store != "" {
-				cfg.Store = p.Store
-			}
 			if p.N > 0 {
 				cfg.Hosts = p.N
 			}
@@ -47,8 +44,6 @@ type Fig8Config struct {
 	Duration, SampleEvery time.Duration
 	// Seed drives all randomness.
 	Seed uint64
-	// Store selects the tor.DescriptorStore backend ("" = default).
-	Store string
 }
 
 // DefaultFig8Config returns presets. Quick shrinks the fleet and the
@@ -80,7 +75,7 @@ func RunFig8(cfg Fig8Config) (*Result, error) {
 	}
 
 	// SuperOnion fleet with the C&C hotlist that replacements rely on.
-	bn, err := core.NewBotNet(cfg.Seed, cfg.Relays, core.BotConfig{DMin: 2, DMax: 4, Store: cfg.Store})
+	bn, err := core.NewBotNet(cfg.Seed, cfg.Relays, core.BotConfig{DMin: 2, DMax: 4})
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +97,7 @@ func RunFig8(cfg Fig8Config) (*Result, error) {
 	isBenign := func(onion string) bool { return !attacker.IsClone(onion) }
 
 	// Baseline: same population of basic bots, same attacker pressure.
-	base, err := core.NewBotNet(cfg.Seed, cfg.Relays, core.BotConfig{DMin: 2, DMax: 4, Store: cfg.Store})
+	base, err := core.NewBotNet(cfg.Seed, cfg.Relays, core.BotConfig{DMin: 2, DMax: 4})
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 func FuzzParseSweep(f *testing.F) {
 	f.Add([]byte(`{"experiments": ["fig6"], "ns": [800, 1000], "seeds": [1, 2]}`))
 	f.Add([]byte(`{"experiments": ["churn-repair"], "quick": true, "churn": [{"process": "poisson", "leave": 8}]}`))
-	f.Add([]byte(`{"experiments": ["churn-hotlist"], "stores": ["flat", "sharded", "mmap"], "seeds": [1]}`))
+	f.Add([]byte(`{"experiments": ["churn-hotlist"], "quick": true, "seeds": [1, 2]}`))
 	f.Add([]byte(`{"experiments": ["fig4"], "fracs": [0.1, 0.2], "trials": 2}`))
 	f.Add([]byte(`{"experiments": ["fig6"], "thresholds": [{"series": "reach", "stat": "last", "axis": "n", "below": 0.5}]}`))
 	f.Add([]byte(`{"experiments": []}`))
@@ -31,7 +31,7 @@ func FuzzParseSweep(f *testing.F) {
 		// uniqueness, not memory exhaustion.
 		size := len(s.Experiments)
 		for _, n := range []int{len(s.Ns), len(s.Ks), len(s.Fracs), len(s.Churn),
-			len(s.Soap), len(s.Faults), len(s.Stores), len(s.Seeds), s.Trials} {
+			len(s.Soap), len(s.Faults), len(s.Seeds), s.Trials} {
 			if n > 1 {
 				size *= n
 			}

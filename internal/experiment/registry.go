@@ -44,12 +44,6 @@ type Params struct {
 	// to inject and which client retry budget to fight them with. nil
 	// keeps the preset; experiments without a fault phase ignore it.
 	Faults *faults.Spec `json:"faults,omitempty"`
-	// Store selects the tor.DescriptorStore backend for protocol-level
-	// experiments ("flat", "sharded", "mmap"; "" keeps the default).
-	// Backends are observably identical, so sweeping this axis is a
-	// memory-plane A/B: same outputs, different footprint. Graph-only
-	// experiments ignore it.
-	Store string `json:"store,omitempty"`
 }
 
 // Definition is one registered experiment: a stable ID, a title for

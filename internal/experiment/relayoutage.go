@@ -19,9 +19,6 @@ func init() {
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultRelayOutageConfig(p.Quick)
 			cfg.Seed = p.Seed
-			if p.Store != "" {
-				cfg.Store = p.Store
-			}
 			if p.N > 0 {
 				cfg.Bots = p.N
 			}
@@ -69,8 +66,6 @@ type RelayOutageConfig struct {
 	Churn *churn.Spec
 	// Seed drives all randomness.
 	Seed uint64
-	// Store selects the tor.DescriptorStore backend ("" = default).
-	Store string
 }
 
 // DefaultRelayOutageConfig returns the full or quick preset. The
@@ -116,7 +111,6 @@ func RunRelayOutage(cfg RelayOutageConfig) (*Result, error) {
 		PingInterval: 10 * time.Minute,
 		NoNInterval:  30 * time.Minute,
 		Retry:        rp,
-		Store:        cfg.Store,
 	}
 	bn, err := core.NewBotNet(cfg.Seed, cfg.Relays, botCfg)
 	if err != nil {

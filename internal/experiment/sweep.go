@@ -12,7 +12,6 @@ import (
 	"onionbots/internal/jsonx"
 	"onionbots/internal/soap"
 	"onionbots/internal/stats"
-	"onionbots/internal/tor"
 )
 
 // Sweep is a scenario-sweep specification: one or more registered
@@ -58,12 +57,6 @@ type Sweep struct {
 	// how "does a retry budget buy back C&C reachability under a 30%
 	// directory outage?" becomes a grid question.
 	Faults []faults.Spec `json:"faults,omitempty"`
-	// Stores sweeps the DescriptorStore backend ("flat", "sharded",
-	// "mmap"). Backends are observably identical, so this axis checks
-	// the memory plane, not the protocol: the per-store rows of a grid
-	// must agree exactly, while the bench harness shows the footprint
-	// difference.
-	Stores []string `json:"stores,omitempty"`
 	// Trials replicates every grid point this many times (default 1).
 	// Replicas share Params but get distinct labels, hence distinct RNG
 	// substreams — the cheap way to average away seed noise.
@@ -122,16 +115,6 @@ func ParseSweep(data []byte) (*Sweep, error) {
 		}
 		seenFaults[spec.Label()] = struct{}{}
 	}
-	seenStores := make(map[string]struct{}, len(s.Stores))
-	for i, name := range s.Stores {
-		if _, err := tor.NewDescriptorStoreByName(name); err != nil {
-			return nil, fmt.Errorf("parse sweep: stores[%d]: %w", i, err)
-		}
-		if _, dup := seenStores[name]; dup {
-			return nil, fmt.Errorf("parse sweep: duplicate store %q", name)
-		}
-		seenStores[name] = struct{}{}
-	}
 	for i, th := range s.Thresholds {
 		if err := th.validate(&s); err != nil {
 			return nil, fmt.Errorf("parse sweep: thresholds[%d]: %w", i, err)
@@ -158,7 +141,7 @@ func LoadSweep(path string) (*Sweep, error) {
 
 // Tasks expands the sweep into its full task grid, in deterministic
 // order (experiments × ns × ks × fracs × churn × soap × faults ×
-// stores × seeds × trials). Every experiment ID is checked against the registry
+// seeds × trials). Every experiment ID is checked against the registry
 // up front so a bad spec fails before any work starts.
 func (s *Sweep) Tasks() ([]Task, error) {
 	for _, id := range s.Experiments {
@@ -172,7 +155,6 @@ func (s *Sweep) Tasks() ([]Task, error) {
 	churns, churnSet := axisChurn(s.Churn)
 	soaps, soapSet := axisSoap(s.Soap)
 	faultSpecs, faultsSet := axisFaults(s.Faults)
-	stores, storeSet := axisStores(s.Stores)
 	seeds, seedSet := axisSeeds(s.Seeds)
 	trials := s.Trials
 	if trials < 1 {
@@ -187,66 +169,51 @@ func (s *Sweep) Tasks() ([]Task, error) {
 					for ci := range churns {
 						for si := range soaps {
 							for fi := range faultSpecs {
-								for _, store := range stores {
-									for _, seed := range seeds {
-										for trial := 0; trial < trials; trial++ {
-											var label strings.Builder
-											label.WriteString(id)
-											if nSet {
-												fmt.Fprintf(&label, "/n=%d", n)
-											}
-											if kSet {
-												fmt.Fprintf(&label, "/k=%d", k)
-											}
-											if fracSet {
-												fmt.Fprintf(&label, "/frac=%g", frac)
-											}
-											var cspec *churn.Spec
-											if churnSet {
-												cspec = &churns[ci]
-												fmt.Fprintf(&label, "/churn=%s", cspec.Label())
-											}
-											var sspec *soap.Spec
-											if soapSet {
-												sspec = &soaps[si]
-												fmt.Fprintf(&label, "/soap=%s", sspec.Label())
-											}
-											var fspec *faults.Spec
-											if faultsSet {
-												fspec = &faultSpecs[fi]
-												fmt.Fprintf(&label, "/faults=%s", fspec.Label())
-											}
-											if storeSet {
-												fmt.Fprintf(&label, "/store=%s", store)
-											}
-											if seedSet {
-												fmt.Fprintf(&label, "/seed=%d", seed)
-											}
-											if s.Trials > 1 {
-												fmt.Fprintf(&label, "/trial=%d", trial)
-											}
-											// Tasks that differ only in store share a
-											// substream (SeedLabel strips the store
-											// component), so the store axis compares
-											// backends on identical random streams.
-											seedLabel := ""
-											if storeSet {
-												seedLabel = strings.Replace(label.String(), "/store="+store, "", 1)
-											}
-											tasks = append(tasks, Task{
-												Label:      label.String(),
-												SeedLabel:  seedLabel,
-												Experiment: id,
-												Params: Params{
-													Quick: s.Quick, Seed: seed,
-													N: n, K: k, Frac: frac,
-													Churn:  cspec,
-													Soap:   sspec,
-													Faults: fspec,
-													Store:  store,
-												},
-											})
+								for _, seed := range seeds {
+									for trial := 0; trial < trials; trial++ {
+										var label strings.Builder
+										label.WriteString(id)
+										if nSet {
+											fmt.Fprintf(&label, "/n=%d", n)
 										}
+										if kSet {
+											fmt.Fprintf(&label, "/k=%d", k)
+										}
+										if fracSet {
+											fmt.Fprintf(&label, "/frac=%g", frac)
+										}
+										var cspec *churn.Spec
+										if churnSet {
+											cspec = &churns[ci]
+											fmt.Fprintf(&label, "/churn=%s", cspec.Label())
+										}
+										var sspec *soap.Spec
+										if soapSet {
+											sspec = &soaps[si]
+											fmt.Fprintf(&label, "/soap=%s", sspec.Label())
+										}
+										var fspec *faults.Spec
+										if faultsSet {
+											fspec = &faultSpecs[fi]
+											fmt.Fprintf(&label, "/faults=%s", fspec.Label())
+										}
+										if seedSet {
+											fmt.Fprintf(&label, "/seed=%d", seed)
+										}
+										if s.Trials > 1 {
+											fmt.Fprintf(&label, "/trial=%d", trial)
+										}
+										tasks = append(tasks, Task{
+											Label:      label.String(),
+											Experiment: id,
+											Params: Params{
+												Quick: s.Quick, Seed: seed,
+												N: n, K: k, Frac: frac,
+												Churn:  cspec,
+												Soap:   sspec,
+												Faults: fspec,
+											},
+										})
 									}
 								}
 							}
@@ -302,15 +269,6 @@ func axisSoap(xs []soap.Spec) ([]soap.Spec, bool) {
 func axisFaults(xs []faults.Spec) ([]faults.Spec, bool) {
 	if len(xs) == 0 {
 		return make([]faults.Spec, 1), false
-	}
-	return xs, true
-}
-
-// axisStores maps an absent store axis to the single "keep preset"
-// backend (the empty name).
-func axisStores(xs []string) ([]string, bool) {
-	if len(xs) == 0 {
-		return []string{""}, false
 	}
 	return xs, true
 }
@@ -374,8 +332,11 @@ func (s *Sweep) Aggregate(trs []TaskResult) *Result {
 	for _, th := range s.Thresholds {
 		s.appendThreshold(res, trs, th)
 	}
-	res.AddNote("grid: %d experiments × ns=%v ks=%v fracs=%v churn=%v soap=%v faults=%v stores=%v seeds=%v trials=%d",
-		len(s.Experiments), s.Ns, s.Ks, s.Fracs, churnLabels(s.Churn), soapLabels(s.Soap), faultsLabels(s.Faults), s.Stores, s.Seeds, max(1, s.Trials))
+	// "stores=[]" names an axis that no longer exists. It stays in the
+	// note so that sweep documents keep their recorded bytes; drop it at
+	// the next deliberate re-pin of the sweep outputs.
+	res.AddNote("grid: %d experiments × ns=%v ks=%v fracs=%v churn=%v soap=%v faults=%v stores=[] seeds=%v trials=%d",
+		len(s.Experiments), s.Ns, s.Ks, s.Fracs, churnLabels(s.Churn), soapLabels(s.Soap), faultsLabels(s.Faults), s.Seeds, max(1, s.Trials))
 	if failed > 0 {
 		res.AddNote("%d/%d tasks failed", failed, len(trs))
 	}
@@ -522,8 +483,6 @@ func (s *Sweep) axisValueLabels(axis string) []string {
 		out = soapLabels(s.Soap)
 	case "faults":
 		out = faultsLabels(s.Faults)
-	case "store":
-		out = append(out, s.Stores...)
 	case "seed":
 		for _, seed := range s.Seeds {
 			out = append(out, fmt.Sprintf("%d", seed))

@@ -13,6 +13,7 @@ func TestParseSweepValidates(t *testing.T) {
 	}{
 		{"no experiments", `{"name":"x"}`, "no experiments"},
 		{"unknown field", `{"experiments":["fig6"],"seed":[1]}`, "seed"},
+		{"retired stores axis", `{"experiments":["fig7"],"stores":["flat"]}`, `unknown field "stores"`},
 		{"negative trials", `{"experiments":["fig6"],"trials":-1}`, "negative trials"},
 		{"bad json", `{`, "parse sweep"},
 	}

@@ -7,8 +7,8 @@
 //     timer wheel cascading into a small near-term heap, with a pooled
 //     event arena so steady-state scheduling allocates nothing. Events
 //     scheduled for the same instant fire in FIFO order (stable sequence
-//     numbers), so a run is bit-reproducible given the same inputs;
-//     HeapScheduler keeps the original container/heap queue as the
+//     numbers), so a run is bit-reproducible given the same inputs.
+//     The package tests keep the original container/heap queue as the
 //     executable specification the wheel is differentially tested
 //     against. EveryBatched multiplexes recurring per-entity timers that
 //     share a period and subscription instant onto one wheel event,

@@ -8,9 +8,8 @@ import (
 // HeapScheduler is the original container/heap event queue, kept as the
 // executable specification of the scheduling contract. The timer-wheel
 // Scheduler must fire an identical workload event-for-event in the same
-// order (see the differential test in scheduler_test.go); benchmarks
-// compare the two to quantify the wheel's steady-state win. Production
-// code should use Scheduler.
+// order (TestWheelMatchesHeapScheduler); benchmarks compare the two to
+// quantify the wheel's steady-state win.
 type HeapScheduler struct {
 	now time.Time
 	seq uint64

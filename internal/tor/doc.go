@@ -37,12 +37,11 @@
 //   - Signature verification of immutable bytes (descriptors, intro
 //     bindings) is memoized network-wide; outcomes are unchanged
 //     because verification is a pure function of its input.
-//   - Directory state lives in sharded open-addressed tables keyed by
-//     the ring digests themselves (store.go): HSDir descriptor storage
-//     sits behind the DescriptorStore interface (flat map reference
-//     backend vs the sharded default, swappable per Config), and the
-//     fingerprint→relay table uses the same layout, so building and
-//     churning very large networks is not map-rehash bound.
+//   - Directory state is plain Go maps: each HSDir caches descriptors
+//     in a map keyed by descriptor id (store.go), and the network maps
+//     fingerprints to live relays. A directory holds on the order of
+//     10^2 descriptors, and the whole directory layer is a few percent
+//     of CPU, so nothing cleverer pays for itself.
 //
 // All of this is observationally equivalent to the slow path: fixed
 // seeds produce byte-identical experiment outputs.

@@ -33,10 +33,6 @@ type Config struct {
 	// HopLatency is the virtual per-hop delivery delay applied to DATA
 	// cells end to end. Default 50ms.
 	HopLatency time.Duration
-	// NewDescriptorStore constructs the per-HSDir descriptor backend.
-	// Default NewShardedDescriptorStore; set to NewFlatDescriptorStore
-	// (or a custom backend) to swap the storage layer network-wide.
-	NewDescriptorStore func() DescriptorStore
 }
 
 func (c Config) withDefaults() Config {
@@ -57,9 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HopLatency == 0 {
 		c.HopLatency = 50 * time.Millisecond
-	}
-	if c.NewDescriptorStore == nil {
-		c.NewDescriptorStore = func() DescriptorStore { return NewShardedDescriptorStore() }
 	}
 	return c
 }
@@ -101,7 +94,7 @@ type Network struct {
 	sched     *sim.Scheduler
 	rng       *sim.RNG
 	cfg       Config
-	relays    *relayTable
+	relays    map[Fingerprint]*Relay
 	order     []*Relay // insertion order (swap-removed; consensus sorts)
 	consensus *Consensus
 	nextCirc  uint64
@@ -169,7 +162,7 @@ func NewNetwork(sched *sim.Scheduler, rng *sim.RNG, cfg Config) *Network {
 		sched:          sched,
 		rng:            rng,
 		cfg:            cfg.withDefaults(),
-		relays:         newRelayTable(),
+		relays:         make(map[Fingerprint]*Relay),
 		verifiedDescs:  make(map[[sha256.Size]byte]struct{}),
 		verifiedIntros: make(map[[ed25519.PublicKeySize + ed25519.SignatureSize]byte]struct{}),
 		cellCipher:     block,
@@ -333,7 +326,7 @@ func (n *Network) introFaultHit() bool {
 // 25-hour HSDir-flag delay still applies, which is the timing constraint
 // the paper highlights.
 func (n *Network) InjectRelayAtFingerprint(fp Fingerprint) (*Relay, error) {
-	if n.relays.get(fp) != nil {
+	if n.relays[fp] != nil {
 		return nil, fmt.Errorf("tor: fingerprint %s already present", fp)
 	}
 	r := n.newRelay(nil, fp)
@@ -342,7 +335,7 @@ func (n *Network) InjectRelayAtFingerprint(fp Fingerprint) (*Relay, error) {
 
 func (n *Network) addRelayWithIdentity(id *Identity) (*Relay, error) {
 	fp := id.Fingerprint()
-	if n.relays.get(fp) != nil {
+	if n.relays[fp] != nil {
 		return nil, fmt.Errorf("tor: fingerprint %s already present", fp)
 	}
 	return n.newRelay(id, fp), nil
@@ -357,9 +350,9 @@ func (n *Network) newRelay(id *Identity, fp Fingerprint) *Relay {
 		circuits:       make(map[uint64]*relayCirc),
 		introByService: make(map[ServiceID]uint64),
 		rendByCookie:   make(map[[cookieSize]byte]uint64),
-		store:          n.cfg.NewDescriptorStore(),
+		store:          make(map[DescriptorID]*Descriptor),
 	}
-	n.relays.put(fp, r)
+	n.relays[fp] = r
 	r.orderIdx = len(n.order)
 	n.order = append(n.order, r)
 	n.relayEpoch++
@@ -367,7 +360,7 @@ func (n *Network) newRelay(id *Identity, fp Fingerprint) *Relay {
 }
 
 // Relay returns the live relay for a fingerprint, or nil.
-func (n *Network) Relay(fp Fingerprint) *Relay { return n.relays.get(fp) }
+func (n *Network) Relay(fp Fingerprint) *Relay { return n.relays[fp] }
 
 // RemoveRelay kills a relay (operator shutdown, seizure, DoS). Every
 // circuit through it is destroyed in both directions — connections
@@ -375,7 +368,7 @@ func (n *Network) Relay(fp Fingerprint) *Relay { return n.relays.get(fp) }
 // point hosted there. The relay leaves future consensuses at the next
 // publication.
 func (n *Network) RemoveRelay(fp Fingerprint) {
-	r := n.relays.get(fp)
+	r := n.relays[fp]
 	if r == nil {
 		return
 	}
@@ -407,13 +400,7 @@ func (n *Network) RemoveRelay(fp Fingerprint) {
 		}
 		r.destroyBackward(rc, id)
 	}
-	n.relays.remove(fp)
-	// A store holding off-process resources (the mmap backend's
-	// mappings) is released now rather than at the next GC cycle, so
-	// relay churn cannot accumulate dead mappings.
-	if c, ok := r.store.(interface{ Close() }); ok {
-		c.Close()
-	}
+	delete(n.relays, fp)
 	// Swap-remove from the insertion-order slice: O(1) per removal, and
 	// harmless to determinism because PublishConsensus sorts its snapshot
 	// by fingerprint before anything consumes it.
@@ -461,7 +448,7 @@ func sortUint64(xs []uint64) {
 }
 
 // NumRelays reports how many relays are joined.
-func (n *Network) NumRelays() int { return n.relays.len() }
+func (n *Network) NumRelays() int { return len(n.relays) }
 
 // PublishConsensus snapshots the relay list, assigning the HSDir flag to
 // relays with sufficient uptime.
@@ -521,7 +508,7 @@ func (n *Network) pickPath(terminal Fingerprint) ([]*Relay, error) {
 	var terminalRelay *Relay
 	hops := n.cfg.PathLen
 	if terminal != (Fingerprint{}) {
-		terminalRelay = n.relays.get(terminal)
+		terminalRelay = n.relays[terminal]
 		if terminalRelay == nil {
 			return nil, fmt.Errorf("tor: terminal relay %s not found", terminal)
 		}
@@ -538,7 +525,7 @@ func (n *Network) pickPath(terminal Fingerprint) ([]*Relay, error) {
 		}
 		for _, fp := range fps {
 			exclude[fp] = struct{}{}
-			if r := n.relays.get(fp); r != nil {
+			if r := n.relays[fp]; r != nil {
 				path = append(path, r)
 			}
 		}

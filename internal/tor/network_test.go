@@ -134,3 +134,54 @@ func TestInjectRelayAtFingerprintRejectsDuplicates(t *testing.T) {
 		t.Fatal("duplicate fingerprint injection accepted")
 	}
 }
+
+// TestRemoveRelayKeepsLookupsAndConsensusExact removes every third relay,
+// including the first and last inserted: lookups must stay exact and
+// the next consensus must list exactly the live relays.
+func TestRemoveRelayKeepsLookupsAndConsensusExact(t *testing.T) {
+	sched := sim.NewScheduler()
+	n := NewNetwork(sched, sim.NewRNG(5), Config{})
+	var fps []Fingerprint
+	for i := 0; i < 30; i++ {
+		r, err := n.AddRelay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, r.Fingerprint())
+	}
+	sched.RunFor(26 * time.Hour)
+	removed := map[Fingerprint]bool{}
+	for i := 0; i < len(fps); i += 3 {
+		n.RemoveRelay(fps[i])
+		removed[fps[i]] = true
+	}
+	if n.NumRelays() != 20 {
+		t.Fatalf("NumRelays = %d, want 20", n.NumRelays())
+	}
+	for _, fp := range fps {
+		got := n.Relay(fp)
+		if removed[fp] && got != nil {
+			t.Fatalf("removed relay %s still resolves", fp)
+		}
+		if !removed[fp] && (got == nil || got.Fingerprint() != fp) {
+			t.Fatalf("live relay %s resolves to %v", fp, got)
+		}
+	}
+	c := n.PublishConsensus()
+	if c.NumRelays() != 20 {
+		t.Fatalf("consensus lists %d relays, want 20", c.NumRelays())
+	}
+	for _, ri := range c.Relays {
+		if removed[ri.FP] {
+			t.Fatalf("consensus lists removed relay %s", ri.FP)
+		}
+		if !c.IsHSDir(ri.FP) {
+			t.Fatalf("mature relay %s lost HSDir flag", ri.FP)
+		}
+	}
+	for fp := range removed {
+		if c.IsHSDir(fp) {
+			t.Fatalf("removed relay %s has HSDir flag", fp)
+		}
+	}
+}

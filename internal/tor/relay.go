@@ -3,7 +3,6 @@ package tor
 import (
 	"crypto/ed25519"
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -46,9 +45,9 @@ type Relay struct {
 	// rendByCookie maps a rendezvous cookie to the waiting client
 	// circuit.
 	rendByCookie map[[cookieSize]byte]uint64
-	// store holds hidden-service descriptors when this relay is an
-	// HSDir; the backend comes from Config.NewDescriptorStore.
-	store DescriptorStore
+	// store caches hidden-service descriptors when this relay is an
+	// HSDir (store.go).
+	store map[DescriptorID]*Descriptor
 }
 
 const cookieSize = 16
@@ -88,77 +87,6 @@ func (r *Relay) isHSDir() bool {
 		return false
 	}
 	return c.IsHSDir(r.fp)
-}
-
-// StoreDescriptor accepts a descriptor upload. Directories verify the
-// descriptor signature and identity binding before storing, as real
-// HSDirs do.
-func (r *Relay) StoreDescriptor(id DescriptorID, d *Descriptor) error {
-	return r.storeDescriptor(id, d, false)
-}
-
-// storeDescriptorOwned is StoreDescriptor for a descriptor the caller
-// hands over and will never mutate (publishDescriptors' per-replica
-// copies): the defensive ingest clone is skipped, everything else —
-// HSDir gate, verification, stats — is identical.
-func (r *Relay) storeDescriptorOwned(id DescriptorID, d *Descriptor) error {
-	return r.storeDescriptor(id, d, true)
-}
-
-func (r *Relay) storeDescriptor(id DescriptorID, d *Descriptor, owned bool) error {
-	if !r.isHSDir() {
-		return fmt.Errorf("%w: %s", ErrNotHSDir, r.fp)
-	}
-	var sid ServiceID
-	if len(d.Pub) == ed25519.PublicKeySize {
-		sid = ServiceIDOf(d.Pub)
-	}
-	if err := r.net.verifyDescriptor(sid, d); err != nil {
-		return err
-	}
-	if !owned {
-		d = d.clone()
-	}
-	r.store.Put(id, d)
-	r.stats.DescriptorsStored++
-	return nil
-}
-
-// FetchDescriptor serves a stored descriptor, or nil if the relay has
-// none (or is malicious, or the descriptor expired).
-func (r *Relay) FetchDescriptor(id DescriptorID) *Descriptor {
-	if r.malicious {
-		return nil
-	}
-	d, ok := r.store.Get(id)
-	if !ok {
-		return nil
-	}
-	if r.net.Now().Sub(d.PublishedAt) > r.net.cfg.DescriptorTTL {
-		r.store.Delete(id)
-		return nil
-	}
-	r.stats.DescriptorsServed++
-	return d.clone()
-}
-
-// wouldServe reports whether FetchDescriptor(id) would return a
-// descriptor byte-identical to d. This is the coherence probe behind the
-// proxies' verified-descriptor cache: it mirrors FetchDescriptor's
-// malicious/presence/TTL checks but performs no clone and no signature
-// verification, and leaves the serving stats untouched.
-func (r *Relay) wouldServe(id DescriptorID, d *Descriptor) bool {
-	if r.malicious {
-		return false
-	}
-	s, ok := r.store.Get(id)
-	if !ok {
-		return false
-	}
-	if r.net.Now().Sub(s.PublishedAt) > r.net.cfg.DescriptorTTL {
-		return false
-	}
-	return s.equal(d)
 }
 
 // receiveForward processes a forward-direction wire cell: strip this

@@ -1,273 +1,48 @@
 package tor
 
 import (
-	"fmt"
+	"errors"
 	"testing"
 	"time"
-
-	"onionbots/internal/sim"
 )
 
-// TestShardedStoreMatchesFlat drives both DescriptorStore backends with
-// an identical randomized put/get/delete/overwrite workload and requires
-// identical observable behavior at every step.
-func TestShardedStoreMatchesFlat(t *testing.T) {
-	rng := sim.NewRNG(42)
-	flat := NewFlatDescriptorStore()
-	sharded := NewShardedDescriptorStore()
+// TestHSDirCacheStoreFetchExpire walks one descriptor through an HSDir's
+// cache: only flagged directories accept it, fetches serve a copy, and
+// it is dropped once it outlives DescriptorTTL.
+func TestHSDirCacheStoreFetchExpire(t *testing.T) {
+	n := newTestNetwork(t, 7, 12)
+	id := testIdentity(t, 3)
+	sid := id.ServiceID()
+	now := n.Now()
+	d := &Descriptor{Pub: id.Pub, TimePeriod: TimePeriod(now, sid), PublishedAt: now}
+	d.Sign(id.Priv)
+	descID := ComputeDescriptorID(sid, nil, 0, now)
 
-	// A small id pool forces overwrites and deletes of live entries; a
-	// shared 8-byte prefix across part of the pool forces chain handling.
-	ids := make([]DescriptorID, 64)
-	for i := range ids {
-		copy(ids[i][:], rng.Bytes(20))
-		if i%4 == 0 {
-			copy(ids[i][:8], []byte("collide!")) // same uint64 prefix
-		}
-	}
-	descs := make([]*Descriptor, 8)
-	for i := range descs {
-		descs[i] = &Descriptor{Sig: rng.Bytes(4)}
-	}
-
-	for step := 0; step < 20000; step++ {
-		id := ids[rng.Intn(len(ids))]
-		switch rng.Intn(4) {
-		case 0, 1:
-			d := descs[rng.Intn(len(descs))]
-			flat.Put(id, d)
-			sharded.Put(id, d)
-		case 2:
-			flat.Delete(id)
-			sharded.Delete(id)
-		default:
-			fd, fok := flat.Get(id)
-			sd, sok := sharded.Get(id)
-			if fok != sok || fd != sd {
-				t.Fatalf("step %d: Get(%x) flat=(%v,%v) sharded=(%v,%v)", step, id[:4], fd, fok, sd, sok)
-			}
-		}
-		if flat.Len() != sharded.Len() {
-			t.Fatalf("step %d: Len flat=%d sharded=%d", step, flat.Len(), sharded.Len())
-		}
-	}
-	// Full sweep at the end: every id must agree.
-	for _, id := range ids {
-		fd, fok := flat.Get(id)
-		sd, sok := sharded.Get(id)
-		if fok != sok || fd != sd {
-			t.Fatalf("final Get(%x) flat=(%v,%v) sharded=(%v,%v)", id[:4], fd, fok, sd, sok)
-		}
-	}
-}
-
-// TestShardedStoreSteadyChurnZeroAlloc pins the freelist claim: churning
-// descriptors at a steady population allocates nothing.
-func TestShardedStoreSteadyChurnZeroAlloc(t *testing.T) {
-	rng := sim.NewRNG(7)
-	s := NewShardedDescriptorStore()
-	ids := make([]DescriptorID, 256)
-	for i := range ids {
-		copy(ids[i][:], rng.Bytes(20))
-	}
-	d := &Descriptor{}
-	for _, id := range ids {
-		s.Put(id, d)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		id := ids[i%len(ids)]
-		s.Delete(id)
-		s.Put(id, d)
-		if _, ok := s.Get(id); !ok {
-			t.Fatal("lost entry")
-		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady churn allocated %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestFlatStoreBackendOption pins the Config escape hatch: a network
-// configured with the flat backend behaves identically through the full
-// host/dial path.
-func TestFlatStoreBackendOption(t *testing.T) {
-	sched := sim.NewScheduler()
-	n := NewNetwork(sched, sim.NewRNG(3), Config{
-		NewDescriptorStore: func() DescriptorStore { return NewFlatDescriptorStore() },
-	})
-	if err := n.Bootstrap(12); err != nil {
-		t.Fatal(err)
-	}
-	var seed [32]byte
-	seed[0] = 9
-	hs, err := NewProxy(n).Host(IdentityFromSeed(seed), func(*Conn) {})
+	young, err := n.AddRelay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := NewProxy(n).Dial(hs.Onion())
-	if err != nil {
+	if err := young.StoreDescriptor(descID, d); !errors.Is(err, ErrNotHSDir) {
+		t.Fatalf("unflagged relay accepted a descriptor: %v", err)
+	}
+
+	dir := n.Relay(n.Consensus().ResponsibleHSDirs(descID)[0])
+	if err := dir.StoreDescriptor(descID, d); err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
-}
+	got := dir.FetchDescriptor(descID)
+	if got == nil || got == d || !got.equal(d) {
+		t.Fatalf("fetch = %p, want a copy of %p", got, d)
+	}
+	if s := dir.Stats(); s.DescriptorsStored != 1 || s.DescriptorsServed != 1 {
+		t.Fatalf("stats = %+v, want 1 stored and 1 served", s)
+	}
 
-// TestRelayTableSwapRemove exercises relay insertion/removal ordering:
-// consensuses published after arbitrary removals must list exactly the
-// live relays, and lookups must stay exact.
-func TestRelayTableSwapRemove(t *testing.T) {
-	sched := sim.NewScheduler()
-	n := NewNetwork(sched, sim.NewRNG(5), Config{})
-	var fps []Fingerprint
-	for i := 0; i < 30; i++ {
-		r, err := n.AddRelay()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps = append(fps, r.Fingerprint())
+	n.sched.RunFor(24*time.Hour + time.Minute)
+	if dir.wouldServe(descID, d) || dir.FetchDescriptor(descID) != nil {
+		t.Fatal("expired descriptor still served")
 	}
-	sched.RunFor(26 * time.Hour)
-	// Remove every third relay, including the first and last inserted.
-	removed := map[Fingerprint]bool{}
-	for i := 0; i < len(fps); i += 3 {
-		n.RemoveRelay(fps[i])
-		removed[fps[i]] = true
-	}
-	if n.NumRelays() != 20 {
-		t.Fatalf("NumRelays = %d, want 20", n.NumRelays())
-	}
-	for _, fp := range fps {
-		got := n.Relay(fp)
-		if removed[fp] && got != nil {
-			t.Fatalf("removed relay %s still resolves", fp)
-		}
-		if !removed[fp] && (got == nil || got.Fingerprint() != fp) {
-			t.Fatalf("live relay %s resolves to %v", fp, got)
-		}
-	}
-	c := n.PublishConsensus()
-	if c.NumRelays() != 20 {
-		t.Fatalf("consensus lists %d relays, want 20", c.NumRelays())
-	}
-	for _, ri := range c.Relays {
-		if removed[ri.FP] {
-			t.Fatalf("consensus lists removed relay %s", ri.FP)
-		}
-		if !c.IsHSDir(ri.FP) {
-			t.Fatalf("mature relay %s lost HSDir flag", ri.FP)
-		}
-	}
-	for fp := range removed {
-		if c.IsHSDir(fp) {
-			t.Fatalf("removed relay %s has HSDir flag", fp)
-		}
-	}
-}
-
-// BenchmarkDescriptorStoreLookup compares backend lookup cost at HSDir
-// populations matching a large botnet (every bot publishes 2 replicas ×
-// 3 directories).
-func BenchmarkDescriptorStoreLookup(b *testing.B) {
-	for _, size := range []int{1000, 100000} {
-		rng := sim.NewRNG(11)
-		ids := make([]DescriptorID, size)
-		d := &Descriptor{}
-		for i := range ids {
-			copy(ids[i][:], rng.Bytes(20))
-		}
-		for _, backend := range []struct {
-			name string
-			s    DescriptorStore
-		}{
-			{"flat", NewFlatDescriptorStore()},
-			{"sharded", NewShardedDescriptorStore()},
-			{"mmap", NewMmapDescriptorStore()},
-		} {
-			for _, id := range ids {
-				backend.s.Put(id, d)
-			}
-			b.Run(fmt.Sprintf("%s/n=%d", backend.name, size), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, ok := backend.s.Get(ids[i%size]); !ok {
-						b.Fatal("missing id")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkDescriptorStoreBuild compares populating a store from empty
-// to n=100000 — the "build a large network" path, where the flat map
-// rehashes its whole population at every doubling.
-func BenchmarkDescriptorStoreBuild(b *testing.B) {
-	const size = 100000
-	rng := sim.NewRNG(17)
-	ids := make([]DescriptorID, size)
-	d := &Descriptor{}
-	for i := range ids {
-		copy(ids[i][:], rng.Bytes(20))
-	}
-	b.Run("flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := NewFlatDescriptorStore()
-			for _, id := range ids {
-				s.Put(id, d)
-			}
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := NewShardedDescriptorStore()
-			for _, id := range ids {
-				s.Put(id, d)
-			}
-		}
-	})
-	b.Run("mmap", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := NewMmapDescriptorStore()
-			for _, id := range ids {
-				s.Put(id, d)
-			}
-			s.Close()
-		}
-	})
-}
-
-// BenchmarkDescriptorStoreChurn compares put/delete churn, the
-// rehash-bound operation at scale.
-func BenchmarkDescriptorStoreChurn(b *testing.B) {
-	const size = 100000
-	rng := sim.NewRNG(13)
-	ids := make([]DescriptorID, size)
-	d := &Descriptor{}
-	for i := range ids {
-		copy(ids[i][:], rng.Bytes(20))
-	}
-	for _, backend := range []struct {
-		name string
-		s    DescriptorStore
-	}{
-		{"flat", NewFlatDescriptorStore()},
-		{"sharded", NewShardedDescriptorStore()},
-		{"mmap", NewMmapDescriptorStore()},
-	} {
-		for _, id := range ids {
-			backend.s.Put(id, d)
-		}
-		b.Run(backend.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				id := ids[i%size]
-				backend.s.Delete(id)
-				backend.s.Put(id, d)
-			}
-		})
+	if len(dir.store) != 0 {
+		t.Fatalf("expired descriptor still cached (%d entries)", len(dir.store))
 	}
 }
