@@ -8,9 +8,10 @@ SHELL       := /bin/bash
 GO        ?= go
 BENCHTIME ?= 200x
 # The microbenchmark set archived per PR: scheduler (wheel vs heap),
-# batched ticks, the data-plane fast paths from PR 1, and PR 5's
-# pooled-vs-unpooled infection pair.
-BENCH     ?= SchedulerSteadyState|SchedulerBatchedTicks|CellRelayHop|SealOpenSession|HiddenServiceDial|InfectFrom
+# batched ticks, the data-plane fast paths from PR 1, PR 5's
+# pooled-vs-unpooled infection pair, DDSR takedown repair, and the
+# graph layer's CSR snapshot and BFS.
+BENCH     ?= SchedulerSteadyState|SchedulerBatchedTicks|CellRelayHop|SealOpenSession|HiddenServiceDial|InfectFrom|RemoveNodeWithPruning|Snapshot5000x10|BFS5000x10
 
 # External lint tool versions are pinned in tools/go.mod (a separate
 # module, so the simulator's go.mod keeps zero dependencies). The

@@ -2,57 +2,67 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 )
 
-// Graph is a mutable, undirected, simple graph over int node ids.
-// The zero value is not usable; call New.
+// Graph is a mutable, undirected, simple graph over dense non-negative
+// int node ids. Each id owns one sorted []int32 neighbor row, and a
+// presence bitmap tells an isolated node from an absent one, so the
+// storage grows with the largest id ever added. The zero value is not
+// usable; call New.
 type Graph struct {
-	adj      map[int]map[int]struct{}
-	edges    int
-	maxID    int // largest id ever added; sizes the Connected scratch
-	minID    int // smallest id ever added; gates the dense fast path
-	peakSize int // largest population ever held; gates the dense fast path
+	rows    [][]int32 // rows[id]: sorted neighbors of id; empty when absent
+	present []uint64  // bit id is set iff node id exists
+	nodes   int
+	edges   int
 
-	// Connected's reusable BFS scratch: index-stamped visit slice (a
-	// node is visited iff visit[id] == visitGen, so a new sweep is a
-	// generation bump, not a reset or an allocation) plus the BFS queue.
-	// Clones do not inherit the scratch; it is rebuilt on first use.
+	// Connected's reusable BFS scratch: node id is visited iff
+	// visit[id] == visitGen, so a new sweep is a generation bump, not a
+	// reset or an allocation. Clones rebuild it on first use.
 	visit    []uint32
 	visitGen uint32
-	queue    []int
+	queue    []int32
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{adj: make(map[int]map[int]struct{})}
-}
+func New() *Graph { return &Graph{} }
 
 // NumNodes reports the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.adj) }
+func (g *Graph) NumNodes() int { return g.nodes }
 
 // NumEdges reports the number of (undirected) edges.
 func (g *Graph) NumEdges() int { return g.edges }
 
 // HasNode reports whether id is present.
 func (g *Graph) HasNode(id int) bool {
-	_, ok := g.adj[id]
-	return ok
+	return uint(id) < uint(len(g.rows)) && g.present[id>>6]&(1<<(id&63)) != 0
+}
+
+// row returns id's neighbor row, or nil for an id outside the id space.
+func (g *Graph) row(id int) []int32 {
+	if uint(id) < uint(len(g.rows)) {
+		return g.rows[id]
+	}
+	return nil
 }
 
 // AddNode inserts an isolated node. Adding an existing node is a no-op.
+// Ids index the adjacency rows directly, so a negative id (or one past
+// math.MaxInt32) panics; a large sparse id is legal and only grows the
+// storage.
 func (g *Graph) AddNode(id int) {
-	if _, ok := g.adj[id]; !ok {
-		g.adj[id] = make(map[int]struct{})
-		if id > g.maxID {
-			g.maxID = id
-		}
-		if id < g.minID {
-			g.minID = id
-		}
-		if len(g.adj) > g.peakSize {
-			g.peakSize = len(g.adj)
-		}
+	if id < 0 || id > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: node id %d out of range [0, MaxInt32]", id))
+	}
+	if id >= len(g.rows) {
+		g.rows = append(g.rows, make([][]int32, id+1-len(g.rows))...)
+		g.present = append(g.present, make([]uint64, id>>6+1-len(g.present))...)
+	}
+	if !g.HasNode(id) {
+		g.present[id>>6] |= 1 << (id & 63)
+		g.nodes++
 	}
 }
 
@@ -60,19 +70,42 @@ func (g *Graph) AddNode(id int) {
 // list of its former neighbors (the DDSR repair step needs exactly this).
 // Removing an absent node returns nil.
 func (g *Graph) RemoveNode(id int) []int {
-	nbrs, ok := g.adj[id]
-	if !ok {
+	if !g.HasNode(id) {
 		return nil
 	}
-	out := make([]int, 0, len(nbrs))
-	for v := range nbrs {
-		out = append(out, v)
-		delete(g.adj[v], id)
-		g.edges--
+	row := g.rows[id]
+	out := make([]int, len(row))
+	for i, v := range row {
+		out[i] = int(v)
+		g.rows[v] = remove(g.rows[v], int32(id))
 	}
-	delete(g.adj, id)
-	sort.Ints(out)
+	g.edges -= len(row)
+	g.rows[id] = nil
+	g.present[id>>6] &^= 1 << (id & 63)
+	g.nodes--
 	return out
+}
+
+// remove deletes v from the sorted row if present.
+func remove(row []int32, v int32) []int32 {
+	if i, found := slices.BinarySearch(row, v); found {
+		return slices.Delete(row, i, i+1)
+	}
+	return row
+}
+
+// link adds the edge (u, v) between two present, distinct nodes and
+// reports whether it was new.
+func (g *Graph) link(u, v int) bool {
+	i, found := slices.BinarySearch(g.rows[u], int32(v))
+	if found {
+		return false
+	}
+	g.rows[u] = slices.Insert(g.rows[u], i, int32(v))
+	j, _ := slices.BinarySearch(g.rows[v], int32(u))
+	g.rows[v] = slices.Insert(g.rows[v], j, int32(u))
+	g.edges++
+	return true
 }
 
 // AddEdge inserts the undirected edge (u, v), creating missing endpoints.
@@ -83,38 +116,19 @@ func (g *Graph) AddEdge(u, v int) bool {
 	}
 	g.AddNode(u)
 	g.AddNode(v)
-	if _, ok := g.adj[u][v]; ok {
-		return false
-	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
-	g.edges++
-	return true
+	return g.link(u, v)
 }
 
 // AddEdgesAmong links every pair of the given nodes (clique insertion),
 // returning the number of edges created. It is the hot path of DDSR
-// repair on dense graphs and avoids AddEdge's per-call overhead. Nodes
-// must already exist; absent ids are ignored.
+// repair. Nodes must already exist; absent ids are ignored.
 func (g *Graph) AddEdgesAmong(nodes []int) int {
 	added := 0
-	for i := 0; i < len(nodes); i++ {
-		mi, ok := g.adj[nodes[i]]
-		if !ok {
-			continue
-		}
-		for j := i + 1; j < len(nodes); j++ {
-			mj, ok := g.adj[nodes[j]]
-			if !ok {
-				continue
+	for i, u := range nodes {
+		for _, v := range nodes[i+1:] {
+			if u != v && g.HasNode(u) && g.HasNode(v) && g.link(u, v) {
+				added++
 			}
-			if _, dup := mi[nodes[j]]; dup {
-				continue
-			}
-			mi[nodes[j]] = struct{}{}
-			mj[nodes[i]] = struct{}{}
-			g.edges++
-			added++
 		}
 	}
 	return added
@@ -123,98 +137,83 @@ func (g *Graph) AddEdgesAmong(nodes []int) int {
 // RemoveEdge deletes the undirected edge (u, v) and reports whether it
 // existed.
 func (g *Graph) RemoveEdge(u, v int) bool {
-	if _, ok := g.adj[u][v]; !ok {
+	i, found := slices.BinarySearch(g.row(u), int32(v))
+	if !found || !g.HasNode(v) {
 		return false
 	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
+	g.rows[u] = slices.Delete(g.rows[u], i, i+1)
+	g.rows[v] = remove(g.rows[v], int32(u))
 	g.edges--
 	return true
 }
 
 // HasEdge reports whether the undirected edge (u, v) exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := g.adj[u][v]
-	return ok
+	_, found := slices.BinarySearch(g.row(u), int32(v))
+	return found && g.HasNode(v)
 }
 
 // Degree reports the degree of id (0 for an absent node).
-func (g *Graph) Degree(id int) int { return len(g.adj[id]) }
+func (g *Graph) Degree(id int) int { return len(g.row(id)) }
 
 // Neighbors returns the sorted neighbors of id.
-func (g *Graph) Neighbors(id int) []int {
-	return g.AppendNeighbors(nil, id)
-}
+func (g *Graph) Neighbors(id int) []int { return g.AppendNeighbors(nil, id) }
 
 // AppendNeighbors appends the sorted neighbors of id to buf and returns
 // the extended slice — the allocation-free form of Neighbors for hot
 // loops that pass a reused scratch buffer (DDSR repair calls this per
 // prune/floor step).
 func (g *Graph) AppendNeighbors(buf []int, id int) []int {
-	nbrs := g.adj[id]
+	row := g.row(id)
 	if buf == nil {
-		buf = make([]int, 0, len(nbrs))
+		buf = make([]int, 0, len(row))
 	}
-	start := len(buf)
-	for v := range nbrs {
-		buf = append(buf, v)
+	for _, v := range row {
+		buf = append(buf, int(v))
 	}
-	sort.Ints(buf[start:])
 	return buf
 }
 
 // Nodes returns all node ids, sorted.
 func (g *Graph) Nodes() []int {
-	out := make([]int, 0, len(g.adj))
-	for v := range g.adj {
-		out = append(out, v)
+	out := make([]int, 0, g.nodes)
+	for w, word := range g.present {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6|bits.TrailingZeros64(word))
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // MaxDegree reports the largest degree in the graph (0 if empty).
 func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, nbrs := range g.adj {
-		if len(nbrs) > max {
-			max = len(nbrs)
-		}
+	best := 0
+	for _, row := range g.rows {
+		best = max(best, len(row))
 	}
-	return max
+	return best
 }
 
 // AvgDegree reports the mean degree (0 if empty).
 func (g *Graph) AvgDegree() float64 {
-	if len(g.adj) == 0 {
+	if g.nodes == 0 {
 		return 0
 	}
-	return 2 * float64(g.edges) / float64(len(g.adj))
+	return 2 * float64(g.edges) / float64(g.nodes)
 }
 
 // Connected reports whether the graph is connected, without building an
-// Indexed snapshot: one BFS straight over the adjacency maps, visited
+// Indexed snapshot: one BFS straight over the adjacency rows, visited
 // bookkeeping in the reusable index-stamped scratch. Empty and
 // single-node graphs count as connected. This is the fast path behind
 // partition-threshold scans (Fig 6), which ask "still one component?"
-// after every deletion batch; the answer is independent of traversal
-// order, so the map-iteration start node does not affect determinism.
-//
-// The stamped scratch is indexed by node id, so it assumes the densely
-// packed non-negative ids every generator in this repository produces;
-// graphs with negative or very sparse ids (judged against the peak
-// population, so deletion-heavy scans never lose the fast path) fall
-// back to a map-visited BFS (same answer, per-call allocation).
+// after every deletion batch.
 func (g *Graph) Connected() bool {
-	n := len(g.adj)
-	if n <= 1 {
+	if g.nodes <= 1 {
 		return true
 	}
-	if g.minID < 0 || g.maxID > 4*g.peakSize+1024 {
-		return g.connectedByMap()
-	}
-	if len(g.visit) <= g.maxID {
-		g.visit = make([]uint32, g.maxID+1)
+	if len(g.visit) < len(g.rows) {
+		g.visit = make([]uint32, len(g.rows))
 		g.visitGen = 0
 	}
 	g.visitGen++
@@ -223,87 +222,67 @@ func (g *Graph) Connected() bool {
 		g.visitGen = 1
 	}
 	gen := g.visitGen
-	g.queue = g.queue[:0]
-	//onionlint:allow maporder -- any start node: Connected returns a bool, unaffected by which node seeds the BFS
-	for id := range g.adj {
-		g.visit[id] = gen
-		g.queue = append(g.queue, id)
-		break
+	start := 0
+	for !g.HasNode(start) {
+		start++
 	}
-	reached := 1
+	g.visit[start] = gen
+	g.queue = append(g.queue[:0], int32(start))
 	for head := 0; head < len(g.queue); head++ {
-		//onionlint:allow maporder -- BFS frontier is private scratch; the reached count is visit-order independent
-		for v := range g.adj[g.queue[head]] {
+		for _, v := range g.rows[g.queue[head]] {
 			if g.visit[v] != gen {
 				g.visit[v] = gen
 				g.queue = append(g.queue, v)
-				reached++
 			}
 		}
 	}
-	return reached == n
-}
-
-// connectedByMap is Connected's fallback for id spaces the stamped
-// scratch cannot index.
-func (g *Graph) connectedByMap() bool {
-	visited := make(map[int]struct{}, len(g.adj))
-	queue := make([]int, 0, len(g.adj))
-	//onionlint:allow maporder -- any start node: connectivity is a bool, unaffected by which node seeds the BFS
-	for id := range g.adj {
-		visited[id] = struct{}{}
-		queue = append(queue, id)
-		break
-	}
-	for head := 0; head < len(queue); head++ {
-		//onionlint:allow maporder -- BFS frontier is private scratch; the visited count is visit-order independent
-		for v := range g.adj[queue[head]] {
-			if _, ok := visited[v]; !ok {
-				visited[v] = struct{}{}
-				queue = append(queue, v)
-			}
-		}
-	}
-	return len(visited) == len(g.adj)
+	return len(g.queue) == g.nodes
 }
 
 // Clone returns a deep copy (without the Connected scratch, which the
 // copy rebuilds on first use).
 func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make(map[int]map[int]struct{}, len(g.adj)), edges: g.edges,
-		maxID: g.maxID, minID: g.minID, peakSize: g.peakSize}
-	for u, nbrs := range g.adj {
-		m := make(map[int]struct{}, len(nbrs))
-		for v := range nbrs {
-			m[v] = struct{}{}
-		}
-		c.adj[u] = m
+	c := &Graph{rows: make([][]int32, len(g.rows)), present: slices.Clone(g.present),
+		nodes: g.nodes, edges: g.edges}
+	for id, row := range g.rows {
+		c.rows[id] = slices.Clone(row)
 	}
 	return c
 }
 
-// Validate checks internal consistency (symmetry, no self-loops, edge
-// count) and returns a descriptive error on the first violation. It is
-// used by tests and by property checks after mutation-heavy experiments.
+// Validate checks internal consistency (sorted duplicate-free rows,
+// symmetry, no self-loops, node and edge counts) and returns a
+// descriptive error on the first violation. It is used by tests and by
+// property checks after mutation-heavy experiments.
 func (g *Graph) Validate() error {
-	count := 0
-	for u, nbrs := range g.adj {
-		for v := range nbrs {
-			if u == v {
+	halfEdges, nodes := 0, 0
+	for u, row := range g.rows {
+		if !g.HasNode(u) {
+			if len(row) != 0 {
+				return fmt.Errorf("graph: absent node %d has %d neighbors", u, len(row))
+			}
+			continue
+		}
+		nodes++
+		for i, v := range row {
+			switch {
+			case i > 0 && row[i-1] >= v:
+				return fmt.Errorf("graph: row of node %d not strictly sorted at %d", u, v)
+			case int(v) == u:
 				return fmt.Errorf("graph: self-loop at node %d", u)
-			}
-			back, ok := g.adj[v]
-			if !ok {
+			case !g.HasNode(int(v)):
 				return fmt.Errorf("graph: edge (%d,%d) points to missing node", u, v)
-			}
-			if _, ok := back[u]; !ok {
+			case !g.HasEdge(int(v), u):
 				return fmt.Errorf("graph: asymmetric edge (%d,%d)", u, v)
 			}
-			count++
 		}
+		halfEdges += len(row)
 	}
-	if count != 2*g.edges {
-		return fmt.Errorf("graph: edge count %d inconsistent with adjacency half-edges %d", g.edges, count)
+	if nodes != g.nodes {
+		return fmt.Errorf("graph: node count %d inconsistent with presence bitmap %d", g.nodes, nodes)
+	}
+	if halfEdges != 2*g.edges {
+		return fmt.Errorf("graph: edge count %d inconsistent with adjacency half-edges %d", g.edges, halfEdges)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -120,12 +123,33 @@ func TestMaxAvgDegree(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	// Corrupt: make edge asymmetric by reaching into the representation.
-	delete(g.adj[2], 1)
-	if err := g.Validate(); err == nil {
-		t.Fatal("Validate accepted an asymmetric edge")
+	// Each case corrupts one row by reaching into the representation.
+	tests := []struct {
+		name    string
+		corrupt func(g *Graph)
+	}{
+		{"asymmetric", func(g *Graph) { g.rows[2] = []int32{3} }},
+		{"unsorted", func(g *Graph) { g.rows[1] = []int32{3, 2} }},
+		{"duplicate", func(g *Graph) { g.rows[1] = []int32{2, 2, 3} }},
+		{"self-loop", func(g *Graph) { g.rows[1] = []int32{1, 2, 3} }},
+		{"missing-node", func(g *Graph) { g.rows[3] = []int32{1, 2, 5} }},
+		{"absent-row", func(g *Graph) { g.RemoveNode(3); g.rows[3] = []int32{1} }},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			g := New()
+			g.AddEdge(1, 2)
+			g.AddEdge(1, 3)
+			g.AddEdge(2, 3)
+			g.AddNode(4)
+			if err := g.Validate(); err != nil {
+				t.Fatalf("clean graph: %v", err)
+			}
+			tt.corrupt(g)
+			if err := g.Validate(); err == nil {
+				t.Fatal("Validate accepted a corrupted row")
+			}
+		})
 	}
 }
 
@@ -155,12 +179,21 @@ func TestGraphPropertyRandomMutations(t *testing.T) {
 	}
 }
 
-func TestConnectedSparseAndNegativeIDs(t *testing.T) {
-	// Negative and hash-like sparse ids take the map-visited fallback;
-	// the answer must match the snapshot-based component count.
+func TestAddNodeNegativeIDPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddNode(-1) did not panic")
+		}
+	}()
+	New().AddNode(-1)
+}
+
+func TestSparseIDsAndNegativeQueries(t *testing.T) {
+	// A large sparse id only grows the storage; queries about negative
+	// or out-of-range ids answer "absent" without panicking.
 	g := New()
-	g.AddEdge(-5, 1000000007)
-	g.AddEdge(1000000007, 3)
+	g.AddEdge(5, 100000)
+	g.AddEdge(100000, 3)
 	if !g.Connected() {
 		t.Fatal("3-node path reported disconnected")
 	}
@@ -170,6 +203,13 @@ func TestConnectedSparseAndNegativeIDs(t *testing.T) {
 	}
 	if got := NumComponents(g); got != 2 {
 		t.Fatalf("NumComponents = %d, want 2", got)
+	}
+	if g.HasNode(-1) || g.HasEdge(-1, 5) || g.HasEdge(5, -1) || g.HasEdge(5, 1<<40) ||
+		g.Degree(-1) != 0 || g.RemoveNode(-1) != nil || g.RemoveEdge(-1, 5) {
+		t.Fatal("negative or out-of-range id reported present")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -186,5 +226,194 @@ func TestConnectedMatchesComponents(t *testing.T) {
 		if got := g.Connected(); got != want {
 			t.Fatalf("after %d deletions: Connected=%v, NumComponents says %v", i+1, got, want)
 		}
+	}
+}
+
+// refGraph is a deliberately naive map-of-maps model of Graph's
+// contract, kept only as the oracle for TestGraphMatchesReference.
+type refGraph map[int]map[int]struct{}
+
+func (r refGraph) addNode(id int) {
+	if _, ok := r[id]; !ok {
+		r[id] = map[int]struct{}{}
+	}
+}
+
+func (r refGraph) addEdge(u, v int) bool {
+	if u == v {
+		return false
+	}
+	r.addNode(u)
+	r.addNode(v)
+	if _, ok := r[u][v]; ok {
+		return false
+	}
+	r[u][v], r[v][u] = struct{}{}, struct{}{}
+	return true
+}
+
+func (r refGraph) addEdgesAmong(nodes []int) int {
+	added := 0
+	for i, u := range nodes {
+		for _, v := range nodes[i+1:] {
+			_, okU := r[u]
+			_, okV := r[v]
+			if okU && okV && r.addEdge(u, v) {
+				added++
+			}
+		}
+	}
+	return added
+}
+
+func (r refGraph) removeEdge(u, v int) bool {
+	if _, ok := r[u][v]; !ok {
+		return false
+	}
+	delete(r[u], v)
+	delete(r[v], u)
+	return true
+}
+
+func (r refGraph) removeNode(id int) []int {
+	if _, ok := r[id]; !ok {
+		return nil
+	}
+	out := r.neighbors(id)
+	for _, v := range out {
+		delete(r[v], id)
+	}
+	delete(r, id)
+	return out
+}
+
+func (r refGraph) neighbors(id int) []int {
+	out := []int{}
+	for v := range r[id] {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (r refGraph) numEdges() int {
+	half := 0
+	for _, nbrs := range r {
+		half += len(nbrs)
+	}
+	return half / 2
+}
+
+// components returns component sizes, largest first.
+func (r refGraph) components() []int {
+	var sizes []int
+	seen := map[int]bool{}
+	for s := range r {
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		stack, size := []int{s}, 0
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			size++
+			for v := range r[u] {
+				if !seen[v] {
+					seen[v] = true
+					stack = append(stack, v)
+				}
+			}
+		}
+		sizes = append(sizes, size)
+	}
+	slices.Sort(sizes)
+	slices.Reverse(sizes)
+	return sizes
+}
+
+// assertSameGraph compares every read-side query of g against the
+// reference over the ids 0..span-1 (and a few out-of-range probes).
+func assertSameGraph(t *testing.T, step string, g *Graph, ref refGraph, span int) {
+	t.Helper()
+	if g.NumNodes() != len(ref) || g.NumEdges() != ref.numEdges() {
+		t.Fatalf("%s: nodes/edges = %d/%d, reference %d/%d",
+			step, g.NumNodes(), g.NumEdges(), len(ref), ref.numEdges())
+	}
+	for u := -1; u <= span; u++ {
+		_, has := ref[u]
+		want := ref.neighbors(u)
+		if g.HasNode(u) != has || g.Degree(u) != len(want) || !reflect.DeepEqual(g.Neighbors(u), want) {
+			t.Fatalf("%s: node %d: has=%v deg=%d nbrs=%v, reference has=%v nbrs=%v",
+				step, u, g.HasNode(u), g.Degree(u), g.Neighbors(u), has, want)
+		}
+		for v := -1; v <= span; v++ {
+			_, want := ref[u][v]
+			if g.HasEdge(u, v) != want {
+				t.Fatalf("%s: HasEdge(%d,%d) = %v, reference %v", step, u, v, !want, want)
+			}
+		}
+	}
+	if want := len(ref.components()) <= 1; g.Connected() != want {
+		t.Fatalf("%s: Connected = %v, reference %v", step, !want, want)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+}
+
+func TestGraphMatchesReference(t *testing.T) {
+	// Differential test: random mutation sequences drive Graph and the
+	// map-of-maps reference in lockstep; every query must agree after
+	// every step.
+	const span, steps = 40, 300
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := sim.NewRNG(seed)
+		g, ref := New(), refGraph{}
+		for i := 0; i < steps; i++ {
+			u, v := rng.Intn(span), rng.Intn(span)
+			var step string
+			switch op := rng.Intn(10); {
+			case op == 0:
+				step = fmt.Sprintf("AddNode(%d)", u)
+				g.AddNode(u)
+				ref.addNode(u)
+			case op < 4:
+				step = fmt.Sprintf("AddEdge(%d,%d)", u, v)
+				if got, want := g.AddEdge(u, v), ref.addEdge(u, v); got != want {
+					t.Fatalf("seed %d: %s = %v, reference %v", seed, step, got, want)
+				}
+			case op < 6:
+				nodes := make([]int, rng.Intn(8)) // repeats allowed
+				for j := range nodes {
+					nodes[j] = rng.Intn(span)
+				}
+				step = fmt.Sprintf("AddEdgesAmong(%v)", nodes)
+				if got, want := g.AddEdgesAmong(nodes), ref.addEdgesAmong(nodes); got != want {
+					t.Fatalf("seed %d: %s = %d, reference %d", seed, step, got, want)
+				}
+			case op < 8:
+				step = fmt.Sprintf("RemoveEdge(%d,%d)", u, v)
+				if got, want := g.RemoveEdge(u, v), ref.removeEdge(u, v); got != want {
+					t.Fatalf("seed %d: %s = %v, reference %v", seed, step, got, want)
+				}
+			default:
+				step = fmt.Sprintf("RemoveNode(%d)", u)
+				if got, want := g.RemoveNode(u), ref.removeNode(u); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: %s = %#v, reference %#v", seed, step, got, want)
+				}
+			}
+			assertSameGraph(t, fmt.Sprintf("seed %d step %d %s", seed, i, step), g, ref, span)
+		}
+		if got, want := g.Snapshot().Components(), ref.components(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Snapshot().Components() = %v, reference %v", seed, got, want)
+		}
+		c := g.Clone()
+		assertSameGraph(t, fmt.Sprintf("seed %d clone", seed), c, ref, span)
+		for u := 0; u < span; u += 3 {
+			c.RemoveNode(u)
+			c.AddEdge(u+1, u+2)
+		}
+		assertSameGraph(t, fmt.Sprintf("seed %d original after clone mutation", seed), g, ref, span)
 	}
 }

@@ -1,10 +1,9 @@
 package graph
 
-import "slices"
-
 // Indexed is an immutable compressed-adjacency snapshot of a Graph with
-// dense ids 0..N-1. Metrics run against snapshots because repeated BFS
-// over map-based adjacency is an order of magnitude slower.
+// dense ids 0..N-1. Metrics run against snapshots: every row sits in one
+// contiguous array, and BFS bookkeeping is sized by the population
+// rather than by the largest id the graph ever held.
 type Indexed struct {
 	// IDs maps dense index -> original node id, sorted ascending.
 	IDs []int
@@ -14,29 +13,24 @@ type Indexed struct {
 	nbr []int32
 }
 
-// Snapshot builds an Indexed view of g.
+// Snapshot builds an Indexed view of g. The id -> index table is
+// monotone, so each already-sorted Graph row stays sorted in the
+// snapshot, and everything order-sensitive built on it (like the
+// double-sweep diameter heuristic) is a pure function of the graph.
 func (g *Graph) Snapshot() *Indexed {
 	ids := g.Nodes()
-	index := make(map[int]int32, len(ids))
-	for i, id := range ids {
-		index[id] = int32(i)
-	}
+	index := make([]int32, len(g.rows))
 	off := make([]int32, len(ids)+1)
 	for i, id := range ids {
-		off[i+1] = off[i] + int32(g.Degree(id))
+		index[id] = int32(i)
+		off[i+1] = off[i] + int32(len(g.rows[id]))
 	}
 	nbr := make([]int32, off[len(ids)])
-	cursor := make([]int32, len(ids))
-	copy(cursor, off[:len(ids)])
 	for i, id := range ids {
-		for v := range g.adj[id] {
-			nbr[cursor[i]] = index[v]
-			cursor[i]++
+		row := nbr[off[i]:off[i+1]]
+		for j, v := range g.rows[id] {
+			row[j] = index[v]
 		}
-		// Map iteration order is random; sort each row so snapshots — and
-		// everything order-sensitive built on them, like the double-sweep
-		// diameter heuristic — are a pure function of the graph.
-		slices.Sort(nbr[off[i]:off[i+1]])
 	}
 	return &Indexed{IDs: ids, off: off, nbr: nbr}
 }
