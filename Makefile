@@ -1,13 +1,9 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same
 # targets; keep them in sync.
 
-# pipefail so `go test | benchjson` pipelines fail when go test fails.
-SHELL       := /bin/bash
-.SHELLFLAGS := -o pipefail -c
-
 GO        ?= go
 BENCHTIME ?= 200x
-# The microbenchmark set archived per PR: scheduler (wheel vs heap),
+# The microbenchmark set `make bench` runs: scheduler (wheel vs heap),
 # batched ticks, the data-plane fast paths from PR 1, PR 5's
 # pooled-vs-unpooled infection pair, DDSR takedown repair, and the
 # graph layer's CSR snapshot and BFS.
@@ -61,15 +57,18 @@ tools:
 race:
 	$(GO) test -race -short ./...
 
-# bench runs the microbenchmark set with -benchmem, then the n=10^6
-# Fig 5 memory-plane point (one iteration IS the experiment; it
-# reports its heap high-water mark as a custom heap-MiB metric), and
-# archives both as BENCH_pr9.json (stderr keeps the human-readable
-# stream).
+# bench runs the benchmark of record (perfbench, declared by
+# BENCHMARK.json) on each of its three workloads, then the
+# microbenchmark set with -benchmem, then the n=10^6 Fig 5
+# memory-plane point (one iteration IS the experiment; it reports its
+# heap high-water mark as a custom heap-MiB metric). Everything runs in
+# the foreground and prints to stdout.
 bench:
-	{ $(GO) test -run=NONE -bench='$(BENCH)' -benchtime=$(BENCHTIME) -benchmem ./... && \
-	  $(GO) test -run=NONE -bench=Fig5MillionNode -benchtime=1x -timeout 60m ./internal/experiment/; } \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_pr9.json
+	for w in repro-quick overlay-takedown protocol-churn; do \
+		bash perfbench/run.sh --workload $$w || exit 1; \
+	done
+	$(GO) test -run=NONE -bench='$(BENCH)' -benchtime=$(BENCHTIME) -benchmem ./...
+	$(GO) test -run=NONE -bench=Fig5MillionNode -benchtime=1x -timeout 60m ./internal/experiment/
 
 # fuzz-smoke runs every native fuzz target for a short budget each —
 # enough to shake out parser panics on every CI run while keeping the
@@ -79,7 +78,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/churn/
 	$(GO) test -run=NONE -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/churn/
 	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/soap/
-	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faults/
+	$(GO) test -run=NONE -fuzz=FuzzParseFaultSpec -fuzztime=$(FUZZTIME) ./internal/churn/
 	$(GO) test -run=NONE -fuzz=FuzzParseSweep -fuzztime=$(FUZZTIME) ./internal/experiment/
 	$(GO) test -run=NONE -fuzz=FuzzReplayJournal -fuzztime=$(FUZZTIME) ./internal/serve/
 

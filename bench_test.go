@@ -1,169 +1,16 @@
-// Per-figure regeneration benchmarks: one benchmark per table and
-// figure of the paper, each running the corresponding experiment in its
-// quick preset. `go test -bench=. -benchmem` therefore exercises every
-// reproduced result and reports the cost of regenerating it.
+// Data-plane microbenchmarks: onion-address generation, one relayed
+// cell, a sealed-message round trip, and a full hidden-service dial.
+// Whole-experiment costs are measured by perfbench (`make bench`), whose
+// repro-quick workload times every figure and table as task_s.<id>.
 package onionbots_test
 
 import (
 	"testing"
 
 	"onionbots/internal/botcrypto"
-	"onionbots/internal/experiment"
 	"onionbots/internal/sim"
 	"onionbots/internal/tor"
 )
-
-func BenchmarkFig3RepairWalkthrough(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiment.RunFig3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchFig4(b *testing.B, pruning bool) (closeness, degree *experiment.Result) {
-	b.Helper()
-	cfg := experiment.DefaultFig4Config(true)
-	cfg.Pruning = pruning
-	var err error
-	for i := 0; i < b.N; i++ {
-		closeness, degree, err = experiment.RunFig4(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return closeness, degree
-}
-
-func BenchmarkFig4aClosenessNoPruning(b *testing.B) {
-	closeness, _ := benchFig4(b, false)
-	if len(closeness.Series) != 3 {
-		b.Fatal("missing degree series")
-	}
-}
-
-func BenchmarkFig4bClosenessPruning(b *testing.B) {
-	closeness, _ := benchFig4(b, true)
-	if len(closeness.Series) != 3 {
-		b.Fatal("missing degree series")
-	}
-}
-
-func BenchmarkFig4cDegreeNoPruning(b *testing.B) {
-	_, degree := benchFig4(b, false)
-	if len(degree.Series) != 3 {
-		b.Fatal("missing degree series")
-	}
-}
-
-func BenchmarkFig4dDegreePruning(b *testing.B) {
-	_, degree := benchFig4(b, true)
-	if len(degree.Series) != 3 {
-		b.Fatal("missing degree series")
-	}
-}
-
-func benchFig5(b *testing.B) (components, degree, diameter *experiment.Result) {
-	b.Helper()
-	cfg := experiment.DefaultFig5Config(true, 0)
-	var err error
-	for i := 0; i < b.N; i++ {
-		components, degree, diameter, err = experiment.RunFig5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return components, degree, diameter
-}
-
-func BenchmarkFig5abComponents(b *testing.B) {
-	components, _, _ := benchFig5(b)
-	if components.SeriesByName("DDSR") == nil || components.SeriesByName("Normal") == nil {
-		b.Fatal("missing series")
-	}
-}
-
-func BenchmarkFig5cdDegreeCentrality(b *testing.B) {
-	_, degree, _ := benchFig5(b)
-	if degree.SeriesByName("DDSR") == nil {
-		b.Fatal("missing series")
-	}
-}
-
-func BenchmarkFig5efDiameter(b *testing.B) {
-	_, _, diameter := benchFig5(b)
-	if diameter.SeriesByName("Normal") == nil {
-		b.Fatal("missing series")
-	}
-}
-
-func BenchmarkFig6PartitionThreshold(b *testing.B) {
-	cfg := experiment.DefaultFig6Config(true)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunFig6(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable1CryptoAudit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunTable1([]byte("bench"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiment.VerifyTable1Shape(res); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7SoapCampaign(b *testing.B) {
-	cfg := experiment.DefaultFig7Config(true)
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i) + 4
-		if _, err := experiment.RunFig7(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8SuperOnion(b *testing.B) {
-	cfg := experiment.DefaultFig8Config(true)
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i) + 5
-		if _, err := experiment.RunFig8(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPoWSoapResistance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunPoWDefense(uint64(i)+10, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHSDirPositioning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunHSDirAttack(uint64(i) + 9); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDDSRAblation regenerates the maintenance-policy ablation
-// table (the design-choice study behind Section IV-C).
-func BenchmarkDDSRAblation(b *testing.B) {
-	cfg := experiment.DefaultAblationConfig(true)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunDDSRAblation(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkVanityOnionSearch measures raw onion-address generation (one
 // candidate per op), the unit cost behind the Section IV-B vanity and

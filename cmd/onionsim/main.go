@@ -20,7 +20,7 @@
 // "all"; -list prints the registry (experiments and scenarios); -churn
 // hands every -exp task an inline churn spec (see internal/churn and
 // docs/EXPERIMENTS.md), and -faults does the same with an
-// infrastructure fault-plane spec (see internal/faults). -scenario runs
+// infrastructure fault-plane spec (see churn.FaultSpec). -scenario runs
 // named questions from the internal/scenario library — each a sweep
 // plus a machine-checked expectation block — and exits non-zero if any
 // expectation fails, which is what `make scenario-smoke` gates CI on.
@@ -56,7 +56,6 @@ import (
 
 	"onionbots/internal/churn"
 	"onionbots/internal/experiment"
-	"onionbots/internal/faults"
 	"onionbots/internal/scenario"
 	"onionbots/internal/serve"
 )
@@ -244,7 +243,7 @@ func run() error {
 // `-exp all -seed 1` run fig6 on the same substream. A non-empty
 // churnStr is parsed as an inline churn.Spec and handed to every task
 // (experiments without a churn phase ignore it); faultsStr does the
-// same with an inline faults.Spec for the fault-plane experiments.
+// same with an inline churn.FaultSpec for the fault-plane experiments.
 func buildTasks(exp string, quick bool, seed uint64, churnStr, faultsStr string) ([]experiment.Task, error) {
 	ids := experiment.IDs()
 	if exp != "all" {
@@ -263,9 +262,9 @@ func buildTasks(exp string, quick bool, seed uint64, churnStr, faultsStr string)
 		}
 		cspec = &spec
 	}
-	var fspec *faults.Spec
+	var fspec *churn.FaultSpec
 	if faultsStr != "" {
-		spec, err := faults.ParseSpec([]byte(faultsStr))
+		spec, err := churn.ParseFaultSpec([]byte(faultsStr))
 		if err != nil {
 			return nil, fmt.Errorf("-faults: %w", err)
 		}

@@ -375,6 +375,10 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"process":"poisson","rate":3}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	_, err := ParseSpec([]byte(`{"process":"poisson","leave":2} xyz`))
+	if err == nil || !strings.Contains(err.Error(), "line 1, column 33: unexpected content after the JSON value") {
+		t.Fatalf("trailing content: err = %v", err)
+	}
 	s, err := ParseSpec([]byte(`{"process":"poisson","leave":8}`))
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,24 @@
-// Package churn generates dynamic-membership scenarios: deterministic
-// processes that join, remove, and mass-takedown members of a running
-// population on the simulation's virtual clock. The paper evaluates
-// resilience under one-shot deletion (Figs 5/6); real botnet
-// populations churn continuously, and the mitigation literature (SOAP
-// campaigns, regional cleanups) acts on exactly those dynamics — this
-// package makes them a first-class experiment axis.
+// Package churn is the simulator's one perturbation engine:
+// deterministic processes that remove, add, and crash members of a
+// running population on the simulation's virtual clock. The paper
+// evaluates resilience under one-shot deletion (Figs 5/6); real botnet
+// populations churn continuously, the mitigation literature (SOAP
+// campaigns, regional cleanups) acts on exactly those dynamics, and the
+// Tor substrate under the overlay fails on its own schedule — this
+// package makes all of it a first-class experiment axis.
 //
 // # Model
 //
-// An Engine binds a Target — any population with join/leave semantics —
-// to the scheduler and records an Event trace. Processes attach to the
-// engine and compose freely:
+// An Engine binds a Target to the scheduler and records one Event
+// trace. Processes attach to the engine and compose freely; engines
+// compose by sharing a scheduler. Targets come in two families.
+//
+// Membership targets are bot populations: OverlayTarget drives a
+// ddsr.Maintainer (the graph-level DDSR overlay or the no-repair
+// Normal baseline, with joins under the policy via ddsr.Joiner), and
+// BotNetTarget drives a protocol-level core.BotNet (joins are real
+// infections, leaves are takedowns; pre-derived key material from
+// core.IdentityPool sustains 10^4-bot populations). Their processes:
 //
 //   - Poisson: memoryless join/leave at fixed mean rates, exponential
 //     inter-arrival times drawn from the process's RNG substream.
@@ -25,30 +33,38 @@
 //     schedule, so mitigations can be evaluated against how a real
 //     population actually moved.
 //
-// Two target adapters ship here: OverlayTarget drives a ddsr.Maintainer
-// (the graph-level DDSR overlay or the no-repair Normal baseline, with
-// joins under the policy via ddsr.Joiner), and BotNetTarget drives a
-// protocol-level core.BotNet (joins are real infections, leaves are
-// takedowns). Protocol-level joins draw pre-derived key material from
-// the botnet's identity pool (core.IdentityPool), so BotNetTarget
-// sustains 10^4-bot populations.
+// The relay target, RelayTarget, is a simulated tor.Network: its
+// population is the live relay count, and a leave crashes a random
+// non-directory relay. Its processes are the infrastructure fault
+// plane:
+//
+//   - RelayCrash: Poisson relay crashes with exponential restarts.
+//   - HSDirOutage: a correlated wave removing a contiguous arc of the
+//     HSDir ring, optionally centered on one service's directories.
+//   - IntroFailure: per-dial introduction failures, installed as a
+//     network hook and removed by Engine.Stop.
 //
 // # Determinism
 //
 // Every process draws all of its randomness — arrival times, thinning,
-// member selection — from a private substream derived at Attach time
-// as sim.NewSubstream(engineSeed, "churn/"+name). Events execute on
-// the single-threaded scheduler in (time, sequence) order. The trace
-// is therefore a pure function of (seed, process set, initial target
-// state): a swept churn axis is byte-identical at any -parallel value,
-// the same contract the experiment runner gives task seeds.
+// member and victim selection — from a private substream derived at
+// Attach time. Membership processes use sim.NewSubstream(engineSeed,
+// "churn/"+name); relay fault processes use the "faults/"+name
+// namespace. Events execute on the single-threaded scheduler in
+// (time, sequence) order. The trace is therefore a pure function of
+// (seed, process set, initial target state): a swept churn or faults
+// axis is byte-identical at any -parallel value, the same contract the
+// experiment runner gives task seeds.
 //
 // # Specs
 //
-// Spec is the declarative JSON form ({"process": "poisson", "leave":
-// 8}, or {"process": "replay", "trace_file": "..."}) used by
-// experiment.Params.Churn and the sweep schema's "churn" axis;
-// Spec.Label renders it into task labels so distinct specs land on
-// distinct substreams. See docs/EXPERIMENTS.md for the end-to-end
-// walkthrough of posing a churn question as a sweep.
+// Spec is the declarative JSON form of one membership process
+// ({"process": "poisson", "leave": 8}, or {"process": "replay",
+// "trace_file": "..."}) used by experiment.Params.Churn and the sweep
+// schema's "churn" axis. FaultSpec is the fault plane's ({"crash_rate":
+// 6, "restart_h": 1}), bundled with the client retry budget, used by
+// experiment.Params.Faults and the "faults" axis. Each renders a Label
+// into task labels so distinct specs land on distinct substreams. See
+// docs/EXPERIMENTS.md for the end-to-end walkthrough of posing a churn
+// question as a sweep.
 package churn

@@ -46,7 +46,9 @@ type Neighborhood interface {
 	TakedownNeighborhood(rng *sim.RNG, hops int) int
 }
 
-// Kind classifies a churn trace event.
+// Kind classifies a trace event. The first three are membership
+// events (churn processes over a bot population); the rest are relay
+// faults (fault processes over a RelayTarget).
 type Kind uint8
 
 // Trace event kinds.
@@ -54,46 +56,59 @@ const (
 	KindJoin Kind = iota + 1
 	KindLeave
 	KindTakedown
+	// KindCrash is one relay removed by a crash process.
+	KindCrash
+	// KindRestart is one crashed relay returning with a fresh identity.
+	KindRestart
+	// KindOutage is a correlated wave removing several relays at once.
+	KindOutage
+	// KindIntroFault is one INTRODUCE1 cell eaten by an intro fault.
+	KindIntroFault
 )
+
+// kindNames are the Kind strings, which are also the trace wire form.
+var kindNames = [...]string{
+	KindJoin: "join", KindLeave: "leave", KindTakedown: "takedown",
+	KindCrash: "crash", KindRestart: "restart", KindOutage: "outage",
+	KindIntroFault: "intro-fault",
+}
 
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case KindJoin:
-		return "join"
-	case KindLeave:
-		return "leave"
-	case KindTakedown:
-		return "takedown"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
+	if k > 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Event is one entry of the churn trace: what happened, when (virtual
-// time since sim.Epoch), under which process, and the population size
-// right after.
+// Event is one entry of the trace: what happened, when (virtual time
+// since sim.Epoch), under which process, and the population size right
+// after.
 type Event struct {
 	At      time.Duration
 	Process string
 	Kind    Kind
-	// Count is how many members the event affected (takedowns remove
-	// whole regions or neighborhoods at once).
+	// Count is how many members the event affected (takedowns and
+	// outage waves remove several at once).
 	Count int
-	// Size is the target population immediately after the event.
+	// Size is the target population immediately after the event: live
+	// members, or live relays for a RelayTarget.
 	Size int
 }
 
-// Engine attaches churn processes to a running simulation: it owns the
+// Engine attaches processes to a running simulation: it owns the
 // target, derives every attached process's RNG substream, and records
 // the event trace. One engine drives one target; processes compose by
-// attaching several to the same engine.
+// attaching several to the same engine, and engines compose by sharing
+// a scheduler (a bot population under churn over a relay network under
+// faults).
 //
 // Determinism contract: the engine never draws randomness itself. Each
-// process is seeded with sim.NewSubstream(seed, "churn/"+name) at
-// Attach time, so the full event trace is a pure function of (seed,
-// attached process set, target state) — independent of sweep worker
-// count or scheduling order, exactly like experiment task substreams.
+// process is seeded with sim.NewSubstream(seed, "churn/"+name), or
+// "faults/"+name for the relay fault processes, at Attach time, so the
+// full event trace is a pure function of (seed, attached process set,
+// target state) — independent of sweep worker count or scheduling
+// order, exactly like experiment task substreams.
 type Engine struct {
 	sched   *sim.Scheduler
 	seed    uint64
@@ -101,11 +116,15 @@ type Engine struct {
 	trace   []Event
 	stopped bool
 	names   map[string]struct{}
+	// onStop runs once at Stop time; processes that install standing
+	// hooks (IntroFailure) register their uninstall here.
+	onStop []func()
 }
 
 // NewEngine creates an engine driving target on sched. seed is the
 // substream root for every attached process; experiments pass
-// sim.SubstreamSeed(taskSeed, "<experiment>/churn") or similar.
+// sim.SubstreamSeed(taskSeed, "<experiment>/churn") or
+// "<experiment>/faults".
 func NewEngine(sched *sim.Scheduler, seed uint64, target Target) *Engine {
 	return &Engine{
 		sched:  sched,
@@ -115,7 +134,7 @@ func NewEngine(sched *sim.Scheduler, seed uint64, target Target) *Engine {
 	}
 }
 
-// Target returns the population under churn.
+// Target returns the population under perturbation.
 func (e *Engine) Target() Target { return e.target }
 
 // Attach starts a process: it validates the process against the
@@ -124,43 +143,62 @@ func (e *Engine) Target() Target { return e.target }
 // Attaching two processes with the same name is rejected — they would
 // share a substream, breaking independence.
 func (e *Engine) Attach(p Process) error {
+	ns := "churn"
+	if _, ok := p.(faultProcess); ok {
+		ns = "faults"
+	}
 	name := p.Name()
 	if name == "" {
-		return fmt.Errorf("churn: process has no name")
+		return fmt.Errorf("%s: process has no name", ns)
 	}
 	if _, dup := e.names[name]; dup {
-		return fmt.Errorf("churn: duplicate process name %q (set Label to disambiguate)", name)
+		return fmt.Errorf("%s: duplicate process name %q (set Label to disambiguate)", ns, name)
 	}
 	if err := p.validate(e.target); err != nil {
 		return err
 	}
 	e.names[name] = struct{}{}
-	p.attach(e, sim.NewSubstream(e.seed, "churn/"+name))
+	p.attach(e, sim.NewSubstream(e.seed, ns+"/"+name))
 	return nil
 }
 
 // Stop halts every attached process: events already on the scheduler
-// still fire but become no-ops. Use it to freeze the population for
-// post-run measurement.
-func (e *Engine) Stop() { e.stopped = true }
+// still fire but become no-ops, and standing hooks (intro faults) are
+// uninstalled. Use it to freeze the target for post-run measurement.
+func (e *Engine) Stop() {
+	if e.stopped {
+		return
+	}
+	e.stopped = true
+	for _, fn := range e.onStop {
+		fn()
+	}
+	e.onStop = nil
+}
 
 // Trace returns a copy of the recorded event trace, in firing order.
 func (e *Engine) Trace() []Event { return append([]Event(nil), e.trace...) }
 
-// Counts tallies the trace: members joined, left, and removed by
-// takedowns.
+// Counts tallies the membership events: members joined, left, and
+// removed by takedowns.
 func (e *Engine) Counts() (joined, left, takendown int) {
+	c := e.tally()
+	return c[KindJoin], c[KindLeave], c[KindTakedown]
+}
+
+// FaultCounts tallies the relay fault events: relays crashed, relays
+// restarted, relays removed by outage waves, and intro faults injected.
+func (e *Engine) FaultCounts() (crashed, restarted, outaged, introFaults int) {
+	c := e.tally()
+	return c[KindCrash], c[KindRestart], c[KindOutage], c[KindIntroFault]
+}
+
+// tally sums event counts per kind.
+func (e *Engine) tally() (c [len(kindNames)]int) {
 	for _, ev := range e.trace {
-		switch ev.Kind {
-		case KindJoin:
-			joined += ev.Count
-		case KindLeave:
-			left += ev.Count
-		case KindTakedown:
-			takendown += ev.Count
-		}
+		c[ev.Kind] += ev.Count
 	}
-	return joined, left, takendown
+	return c
 }
 
 // record appends one trace event stamped with the current virtual time

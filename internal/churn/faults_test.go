@@ -1,6 +1,9 @@
-package faults
+package churn
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -39,7 +42,7 @@ func TestSpecParseValidateLabel(t *testing.T) {
 		{`{"retry_attempts": 1}`, "faults;retry=1"},
 	}
 	for _, c := range good {
-		s, err := ParseSpec([]byte(c.in))
+		s, err := ParseFaultSpec([]byte(c.in))
 		if err != nil {
 			t.Errorf("%s: %v", c.in, err)
 			continue
@@ -63,10 +66,11 @@ func TestSpecParseValidateLabel(t *testing.T) {
 		`{"retry_attempts": -1}`,
 		`{"retry_backoff_s": 30}`,
 		`{"retry_backoff_s": 30, "retry_attempts": 1}`,
-		`{"outage": 0.5}`, // unknown field
+		`{"outage": 0.5}`,         // unknown field
+		`{"intro_fail_p": 0.2}]]`, // trailing content
 	}
 	for _, in := range bad {
-		if _, err := ParseSpec([]byte(in)); err == nil {
+		if _, err := ParseFaultSpec([]byte(in)); err == nil {
 			t.Errorf("%s: accepted invalid spec", in)
 		}
 	}
@@ -75,7 +79,7 @@ func TestSpecParseValidateLabel(t *testing.T) {
 func TestRelayCrashDeterminismAndRestart(t *testing.T) {
 	run := func() ([]Event, int) {
 		sched, n := newTestNetwork(t, 11, 10, 12)
-		e := NewEngine(sched, 99, n)
+		e := NewEngine(sched, 99, NewRelayTarget(n))
 		if err := e.Attach(&RelayCrash{Rate: 8, MeanRestart: 30 * time.Minute}); err != nil {
 			t.Fatal(err)
 		}
@@ -93,13 +97,13 @@ func TestRelayCrashDeterminismAndRestart(t *testing.T) {
 	}
 	crashed, restarted, _, _ := func() (int, int, int, int) {
 		sched, n := newTestNetwork(t, 11, 10, 12)
-		e := NewEngine(sched, 99, n)
+		e := NewEngine(sched, 99, NewRelayTarget(n))
 		if err := e.Attach(&RelayCrash{Rate: 8, MeanRestart: 30 * time.Minute}); err != nil {
 			t.Fatal(err)
 		}
 		sched.RunFor(12 * time.Hour)
 		e.Stop()
-		return e.Counts()
+		return e.FaultCounts()
 	}()
 	if crashed == 0 {
 		t.Fatal("crash process at rate 8 never crashed a relay in 12h")
@@ -115,13 +119,13 @@ func TestRelayCrashDeterminismAndRestart(t *testing.T) {
 func TestRelayCrashSparesHSDirs(t *testing.T) {
 	sched, n := newTestNetwork(t, 5, 8, 10)
 	hsdirs := n.Consensus().HSDirs()
-	e := NewEngine(sched, 7, n)
+	e := NewEngine(sched, 7, NewRelayTarget(n))
 	if err := e.Attach(&RelayCrash{Rate: 20}); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunFor(24 * time.Hour)
 	e.Stop()
-	crashed, _, _, _ := e.Counts()
+	crashed, _, _, _ := e.FaultCounts()
 	if crashed == 0 {
 		t.Fatal("no crashes at rate 20 over 24h")
 	}
@@ -136,17 +140,17 @@ func TestHSDirOutageWave(t *testing.T) {
 	sched, n := newTestNetwork(t, 21, 20, 0)
 	ring := n.Consensus().HSDirs() // pre-wave snapshot: lists the victims
 	before := len(ring)
-	e := NewEngine(sched, 13, n)
+	e := NewEngine(sched, 13, NewRelayTarget(n))
 	if err := e.Attach(&HSDirOutage{After: 2 * time.Hour, Frac: 0.3}); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunFor(time.Hour)
-	if _, _, outaged, _ := e.Counts(); outaged != 0 {
+	if _, _, outaged, _ := e.FaultCounts(); outaged != 0 {
 		t.Fatal("wave fired before its instant")
 	}
 	sched.RunFor(90 * time.Minute)
 	e.Stop()
-	_, _, outaged, _ := e.Counts()
+	_, _, outaged, _ := e.FaultCounts()
 	want := int(0.3*float64(before) + 0.5)
 	if outaged != want {
 		t.Fatalf("outage removed %d of %d dirs, want %d", outaged, before, want)
@@ -175,7 +179,7 @@ func TestHSDirOutageTargetsService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(sched, 17, n)
+	e := NewEngine(sched, 17, NewRelayTarget(n))
 	if err := e.Attach(&HSDirOutage{After: time.Hour, Frac: 0.3, Service: hs.Onion()}); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +206,7 @@ func TestIntroFailureInjectsAndUninstalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(sched, 23, n)
+	e := NewEngine(sched, 23, NewRelayTarget(n))
 	if err := e.Attach(&IntroFailure{P: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +214,7 @@ func TestIntroFailureInjectsAndUninstalls(t *testing.T) {
 	if _, err := client.Dial(hs.Onion()); err == nil {
 		t.Fatal("dial succeeded under a certain intro fault")
 	}
-	if _, _, _, introFaults := e.Counts(); introFaults == 0 {
+	if _, _, _, introFaults := e.FaultCounts(); introFaults == 0 {
 		t.Fatal("intro fault fired but trace recorded nothing")
 	}
 	// Stop uninstalls the hook: dials work again.
@@ -222,7 +226,7 @@ func TestIntroFailureInjectsAndUninstalls(t *testing.T) {
 
 func TestEngineRejectsDuplicateNames(t *testing.T) {
 	sched, n := newTestNetwork(t, 51, 6, 0)
-	e := NewEngine(sched, 1, n)
+	e := NewEngine(sched, 1, NewRelayTarget(n))
 	if err := e.Attach(&RelayCrash{Rate: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +240,7 @@ func TestEngineRejectsDuplicateNames(t *testing.T) {
 
 func TestEngineStopFreezesProcesses(t *testing.T) {
 	sched, n := newTestNetwork(t, 61, 8, 10)
-	e := NewEngine(sched, 3, n)
+	e := NewEngine(sched, 3, NewRelayTarget(n))
 	if err := e.Attach(&RelayCrash{Rate: 50}); err != nil {
 		t.Fatal(err)
 	}
@@ -251,26 +255,26 @@ func TestEngineStopFreezesProcesses(t *testing.T) {
 
 func TestSpecAttachComposition(t *testing.T) {
 	sched, n := newTestNetwork(t, 71, 12, 10)
-	spec := Spec{CrashRate: 10, RestartH: 0.5, IntroFailP: 0.1, RetryAttempts: 2}
-	e := NewEngine(sched, 5, n)
-	if err := spec.Attach(e, AttachOptions{}); err != nil {
+	spec := FaultSpec{CrashRate: 10, RestartH: 0.5, IntroFailP: 0.1, RetryAttempts: 2}
+	e := NewEngine(sched, 5, NewRelayTarget(n))
+	if err := spec.Attach(e, ""); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunFor(12 * time.Hour)
 	e.Stop()
-	crashed, _, _, _ := e.Counts()
+	crashed, _, _, _ := e.FaultCounts()
 	if crashed == 0 {
 		t.Fatal("composed spec never crashed a relay")
 	}
 	// A targeted spec needs a target at attach time.
-	bad := Spec{OutageFrac: 0.2, OutageTargeted: true}
-	if err := bad.Attach(NewEngine(sched, 6, n), AttachOptions{}); err == nil {
+	bad := FaultSpec{OutageFrac: 0.2, OutageTargeted: true}
+	if err := bad.Attach(NewEngine(sched, 6, NewRelayTarget(n)), ""); err == nil {
 		t.Fatal("targeted spec attached without a target service")
 	}
 	// A retry-only spec attaches nothing but is a valid baseline.
-	baseline := Spec{RetryAttempts: 4}
-	e2 := NewEngine(sched, 7, n)
-	if err := baseline.Attach(e2, AttachOptions{}); err != nil {
+	baseline := FaultSpec{RetryAttempts: 4}
+	e2 := NewEngine(sched, 7, NewRelayTarget(n))
+	if err := baseline.Attach(e2, ""); err != nil {
 		t.Fatal(err)
 	}
 	if len(e2.Trace()) != 0 {
@@ -278,5 +282,89 @@ func TestSpecAttachComposition(t *testing.T) {
 	}
 	if rp := baseline.RetryPolicy(); !rp.Enabled() || rp.MaxAttempts != 4 {
 		t.Fatalf("retry policy not realized: %+v", rp)
+	}
+}
+
+// runGoldenFaultPlane runs all three fault processes against one network
+// with a hosted service that fresh clients dial every half hour, and
+// returns the engine's trace.
+func runGoldenFaultPlane(t *testing.T) []Event {
+	t.Helper()
+	sched, n := newTestNetwork(t, 81, 16, 10)
+	hs, err := tor.NewProxy(n).Host(tor.IdentityFromSeed([32]byte{81}), func(*tor.Conn) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(sched, 29, NewRelayTarget(n))
+	for _, p := range []Process{
+		&RelayCrash{Rate: 2, MeanRestart: time.Hour},
+		&HSDirOutage{After: 2 * time.Hour, Frac: 0.3, Service: hs.Onion()},
+		&IntroFailure{P: 0.5},
+	} {
+		if err := e.Attach(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		sched.After(time.Duration(i)*30*time.Minute, func() {
+			tor.NewProxy(n).DialAsync(hs.Onion(), func(c *tor.Conn, err error) {
+				if err == nil {
+					c.Close()
+				}
+			})
+		})
+	}
+	sched.RunFor(6 * time.Hour)
+	e.Stop()
+	return e.Trace()
+}
+
+// TestFaultTraceGolden pins the fault plane's schedule to a recorded
+// trace. The other tests compare runs with each other, so a change of
+// substream namespace or draw order would pass them; it fails here.
+func TestFaultTraceGolden(t *testing.T) {
+	got, err := EncodeTrace(runGoldenFaultPlane(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "fault-trace.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.TrimSpace(want)) {
+		t.Fatalf("fault trace drifted from testdata/fault-trace.golden.json; got:\n%s", got)
+	}
+}
+
+func TestFaultTraceRoundTripsButDoesNotReplay(t *testing.T) {
+	trace := runGoldenFaultPlane(t)
+	enc, err := EncodeTrace(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseTrace(enc)
+	if err != nil {
+		t.Fatalf("relay-fault trace does not parse: %v", err)
+	}
+	if enc2, _ := EncodeTrace(parsed); !bytes.Equal(enc, enc2) {
+		t.Fatal("encode/parse/encode is not a fixed point for a relay-fault trace")
+	}
+	path := filepath.Join(t.TempDir(), "faults.json")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Spec{Process: "replay", TraceFile: path}.Build()
+	if err == nil || !strings.Contains(err.Error(), "replay plays back only join, leave and takedown") {
+		t.Fatalf("replay over a relay-fault trace: got %v, want a membership-kind error", err)
+	}
+}
+
+func TestFaultProcessesRejectMembershipTargets(t *testing.T) {
+	sched := sim.NewScheduler()
+	e := NewEngine(sched, 1, &countTarget{n: 10})
+	for _, p := range []Process{&RelayCrash{Rate: 1}, &HSDirOutage{Frac: 0.5}, &IntroFailure{P: 0.5}} {
+		if err := e.Attach(p); err == nil || !strings.Contains(err.Error(), "not a relay network") {
+			t.Errorf("%s on a bot population: got %v", p.Name(), err)
+		}
 	}
 }

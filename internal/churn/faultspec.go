@@ -1,8 +1,6 @@
-package faults
+package churn
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -11,7 +9,7 @@ import (
 	"onionbots/internal/tor"
 )
 
-// Spec is the declarative, JSON-serializable form of a fault plane —
+// FaultSpec is the declarative, JSON-serializable form of a fault plane —
 // what experiment parameters carry and what a sweep's "faults" axis
 // lists. One spec bundles the fault processes to inject AND the
 // client-side retry budget to fight them with, so a single sweep axis
@@ -21,7 +19,7 @@ import (
 //	{"crash_rate": 6, "restart_h": 1}
 //	{"outage_frac": 0.3, "outage_at_h": 2, "outage_targeted": true}
 //	{"intro_fail_p": 0.2, "retry_attempts": 3, "retry_backoff_s": 300}
-type Spec struct {
+type FaultSpec struct {
 	// CrashRate enables a RelayCrash process: mean relay crashes per
 	// virtual hour.
 	CrashRate float64 `json:"crash_rate,omitempty"`
@@ -35,7 +33,7 @@ type Spec struct {
 	// Requires OutageFrac.
 	OutageAtH float64 `json:"outage_at_h,omitempty"`
 	// OutageTargeted centers the wave on the focal service an experiment
-	// names in AttachOptions (typically its C&C). Requires OutageFrac.
+	// passes to Attach (typically its C&C). Requires OutageFrac.
 	OutageTargeted bool `json:"outage_targeted,omitempty"`
 	// IntroFailP enables an IntroFailure process: per-dial introduction
 	// failure probability, in (0, 1].
@@ -49,25 +47,23 @@ type Spec struct {
 	RetryBackoffS float64 `json:"retry_backoff_s,omitempty"`
 }
 
-// ParseSpec decodes and validates a JSON spec. Unknown fields are
-// rejected, mirroring sweep parsing, so a typo ("outage" for
-// "outage_frac") cannot silently disable an axis.
-func ParseSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("parse faults spec: %w", jsonx.Describe(data, err))
+// ParseFaultSpec decodes and validates a JSON spec. Unknown fields and
+// trailing content are rejected, mirroring sweep parsing, so a typo
+// ("outage" for "outage_frac") cannot silently disable an axis.
+func ParseFaultSpec(data []byte) (FaultSpec, error) {
+	var s FaultSpec
+	if err := jsonx.DecodeStrict(data, &s); err != nil {
+		return FaultSpec{}, fmt.Errorf("parse faults spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
-		return Spec{}, err
+		return FaultSpec{}, err
 	}
 	return s, nil
 }
 
 // Validate checks the spec without attaching it.
-func (s Spec) Validate() error {
-	if s == (Spec{}) {
+func (s FaultSpec) Validate() error {
+	if s == (FaultSpec{}) {
 		return fmt.Errorf("faults: empty spec (set a fault knob or a retry budget)")
 	}
 	if s.CrashRate < 0 {
@@ -109,25 +105,20 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// AttachOptions carries run-time context a Spec cannot know when it is
-// written: which service a targeted outage centers on.
-type AttachOptions struct {
-	// TargetService is the onion address targeted outages (OutageTargeted)
-	// center on — typically the experiment's C&C rally address.
-	TargetService string
-}
-
 // Attach builds the spec's enabled fault processes and attaches each to
-// the engine. A spec with only retry knobs attaches nothing — it is a
-// legitimate baseline row of a sweep grid.
-func (s Spec) Attach(e *Engine, opts AttachOptions) error {
+// the engine, whose target must be a RelayTarget. targetService is the
+// onion address a targeted outage (OutageTargeted) centers on —
+// typically the experiment's C&C rally address — which a spec cannot
+// know when it is written. A spec with only retry knobs attaches
+// nothing — it is a legitimate baseline row of a sweep grid.
+func (s FaultSpec) Attach(e *Engine, targetService string) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	if s.OutageTargeted && opts.TargetService == "" {
+	if s.OutageTargeted && targetService == "" {
 		return fmt.Errorf("faults: outage_targeted spec attached without a target service")
 	}
-	for _, p := range s.processes(opts.TargetService) {
+	for _, p := range s.processes(targetService) {
 		if err := e.Attach(p); err != nil {
 			return err
 		}
@@ -136,7 +127,7 @@ func (s Spec) Attach(e *Engine, opts AttachOptions) error {
 }
 
 // processes builds the live fault processes the spec enables.
-func (s Spec) processes(targetService string) []Process {
+func (s FaultSpec) processes(targetService string) []Process {
 	var out []Process
 	if s.CrashRate > 0 {
 		out = append(out, &RelayCrash{
@@ -162,7 +153,7 @@ func (s Spec) processes(targetService string) []Process {
 
 // RetryPolicy realizes the spec's client-side retry knobs as a proxy
 // policy. The zero knobs give the zero (disabled) policy.
-func (s Spec) RetryPolicy() tor.RetryPolicy {
+func (s FaultSpec) RetryPolicy() tor.RetryPolicy {
 	if s.RetryAttempts <= 1 {
 		return tor.RetryPolicy{}
 	}
@@ -179,7 +170,7 @@ func (s Spec) RetryPolicy() tor.RetryPolicy {
 // ("hsdir-outage/faults=faults;outage=0.3/seed=1"), so it contains no
 // "/" and no "," (which would break label splitting and CSV cells
 // respectively).
-func (s Spec) Label() string {
+func (s FaultSpec) Label() string {
 	var b strings.Builder
 	b.WriteString("faults")
 	part := func(k string, v float64) {

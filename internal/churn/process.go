@@ -1,6 +1,7 @@
 package churn
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -8,10 +9,10 @@ import (
 	"onionbots/internal/sim"
 )
 
-// Process is one churn process: a source of membership events that the
-// engine schedules on the simulation's timer wheel. Implementations
-// live in this package; experiments construct them directly or from a
-// Spec.
+// Process is one perturbation process: a source of membership or relay
+// fault events that the engine schedules on the simulation's timer
+// wheel. Implementations live in this package; experiments construct
+// them directly or from a Spec or FaultSpec.
 type Process interface {
 	// Name identifies the process: it tags trace events and names the
 	// process's RNG substream, so it must be unique per engine.
@@ -21,7 +22,8 @@ type Process interface {
 	validate(t Target) error
 	// attach schedules the process's first event. rng is the process's
 	// private substream; all of the process's randomness (arrival
-	// times, thinning, member selection) must come from it.
+	// times, thinning, member or victim selection, restart identities)
+	// must come from it.
 	attach(e *Engine, rng *sim.RNG)
 }
 
@@ -52,12 +54,7 @@ type Poisson struct {
 }
 
 // Name implements Process.
-func (p *Poisson) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	return "poisson"
-}
+func (p *Poisson) Name() string { return cmp.Or(p.Label, "poisson") }
 
 // MaxRate bounds the combined peak event rate (events per virtual
 // hour) a process accepts. Beyond this the exponential inter-arrival
@@ -159,12 +156,7 @@ type Diurnal struct {
 }
 
 // Name implements Process.
-func (d *Diurnal) Name() string {
-	if d.Label != "" {
-		return d.Label
-	}
-	return "diurnal"
-}
+func (d *Diurnal) Name() string { return cmp.Or(d.Label, "diurnal") }
 
 func (d *Diurnal) period() time.Duration {
 	if d.Period <= 0 {
@@ -223,12 +215,7 @@ type Takedown struct {
 }
 
 // Name implements Process.
-func (t *Takedown) Name() string {
-	if t.Label != "" {
-		return t.Label
-	}
-	return "takedown"
-}
+func (t *Takedown) Name() string { return cmp.Or(t.Label, "takedown") }
 
 func (t *Takedown) validate(target Target) error {
 	if t.After < 0 {

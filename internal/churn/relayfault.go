@@ -1,6 +1,7 @@
-package faults
+package churn
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -8,25 +9,60 @@ import (
 	"onionbots/internal/tor"
 )
 
-// Process is one fault process: a source of infrastructure failures
-// that the engine schedules on the simulation's timer wheel.
-type Process interface {
-	// Name identifies the process: it tags trace events and names the
-	// process's RNG substream, so it must be unique per engine.
-	Name() string
-	// validate checks the process parameters before anything is
-	// scheduled.
-	validate(net *tor.Network) error
-	// attach schedules the process's first event. rng is the process's
-	// private substream; all of the process's randomness (arrival
-	// times, victim selection, restart identities) must come from it.
-	attach(e *Engine, rng *sim.RNG)
+// RelayTarget adapts a simulated Tor network to the engine for the
+// relay fault processes. Its population is the live relay count. Leave
+// crashes one uniformly random live relay without the HSDir flag
+// (directory loss is HSDirOutage's axis). Join reports false: a
+// crashed relay returns only through RelayCrash's own restart schedule.
+type RelayTarget struct{ net *tor.Network }
+
+// NewRelayTarget wraps net, whose live relays form the population.
+func NewRelayTarget(net *tor.Network) *RelayTarget { return &RelayTarget{net: net} }
+
+// Size implements Target: the live relay count.
+func (t *RelayTarget) Size() int { return t.net.NumRelays() }
+
+// Join implements Target; relays never join on the engine's behalf.
+func (t *RelayTarget) Join(*sim.RNG) bool { return false }
+
+// Leave implements Target: it crashes a uniformly random live relay
+// without the HSDir flag in the current consensus (the stale directory
+// view a real adversary or failure domain would act on), reporting
+// false when no candidate turns up within the attempt bound.
+func (t *RelayTarget) Leave(rng *sim.RNG) bool {
+	c := t.net.Consensus()
+	if c == nil {
+		return false
+	}
+	for attempts := 0; attempts < 8*len(c.Relays); attempts++ {
+		ri := c.Relays[rng.Intn(len(c.Relays))]
+		if ri.HSDir || t.net.Relay(ri.FP) == nil {
+			continue // a directory, or died since publication
+		}
+		t.net.RemoveRelay(ri.FP)
+		return true
+	}
+	return false
 }
 
-// MaxRate bounds the crash rate (events per virtual hour) a process
-// accepts, mirroring churn.MaxRate: a typo in a sweep spec should fail
-// validation, not degenerate the run into same-instant event grinding.
-const MaxRate = 1e6
+// faultProcess marks the relay fault processes. Their substreams live
+// under "faults/"+name and their errors read "faults:", the namespace
+// the fault plane's specs, sweep labels and recorded results are keyed
+// to.
+type faultProcess interface{ relayFault() }
+
+func (*RelayCrash) relayFault()   {}
+func (*HSDirOutage) relayFault()  {}
+func (*IntroFailure) relayFault() {}
+
+// checkRelayTarget rejects a target a fault process cannot drive. A nil
+// target passes: FaultSpec validates its processes without a network.
+func checkRelayTarget(name string, t Target) error {
+	if _, ok := t.(*RelayTarget); !ok && t != nil {
+		return fmt.Errorf("faults: %s: target %T is not a relay network", name, t)
+	}
+	return nil
+}
 
 // RelayCrash is a memoryless crash process over non-HSDir relays:
 // crashes arrive at Rate (events per virtual hour) with exponential
@@ -50,14 +86,12 @@ type RelayCrash struct {
 }
 
 // Name implements Process.
-func (p *RelayCrash) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	return "relay-crash"
-}
+func (p *RelayCrash) Name() string { return cmp.Or(p.Label, "relay-crash") }
 
-func (p *RelayCrash) validate(*tor.Network) error {
+func (p *RelayCrash) validate(t Target) error {
+	if err := checkRelayTarget(p.Name(), t); err != nil {
+		return err
+	}
 	if p.Rate <= 0 {
 		return fmt.Errorf("faults: %s: rate %g not positive", p.Name(), p.Rate)
 	}
@@ -72,10 +106,11 @@ func (p *RelayCrash) validate(*tor.Network) error {
 
 func (p *RelayCrash) attach(e *Engine, rng *sim.RNG) {
 	name := p.Name()
+	net := e.target.(*RelayTarget).net
 	// Crashing below this floor would leave too few relays to build any
 	// path (guard + middles + terminal); the process skips events there
 	// rather than wedging the whole network.
-	floor := e.net.Config().PathLen + 3
+	floor := net.Config().PathLen + 3
 	var step func()
 	schedule := func() {
 		d := time.Duration(rng.ExpFloat64() / p.Rate * float64(time.Hour))
@@ -86,14 +121,9 @@ func (p *RelayCrash) attach(e *Engine, rng *sim.RNG) {
 			return
 		}
 		defer schedule()
-		if e.net.NumRelays() <= floor {
+		if e.target.Size() <= floor || !e.target.Leave(rng) {
 			return
 		}
-		victim := pickNonHSDir(e.net, rng)
-		if victim == (tor.Fingerprint{}) {
-			return
-		}
-		e.net.RemoveRelay(victim)
 		e.record(name, KindCrash, 1)
 		if p.MeanRestart <= 0 {
 			return
@@ -107,34 +137,12 @@ func (p *RelayCrash) attach(e *Engine, rng *sim.RNG) {
 			if e.stopped {
 				return
 			}
-			if _, err := e.net.AddRelayWithSeed(seed); err == nil {
+			if _, err := net.AddRelayWithSeed(seed); err == nil {
 				e.record(name, KindRestart, 1)
 			}
 		})
 	}
 	schedule()
-}
-
-// pickNonHSDir selects a uniformly random live relay without the HSDir
-// flag from the current consensus (the stale directory view a real
-// adversary or failure domain would act on). It returns the zero
-// fingerprint when no candidate is found within the attempt bound.
-func pickNonHSDir(net *tor.Network, rng *sim.RNG) tor.Fingerprint {
-	c := net.Consensus()
-	if c == nil || len(c.Relays) == 0 {
-		return tor.Fingerprint{}
-	}
-	for attempts := 0; attempts < 8*len(c.Relays); attempts++ {
-		ri := c.Relays[rng.Intn(len(c.Relays))]
-		if ri.HSDir {
-			continue
-		}
-		if net.Relay(ri.FP) == nil {
-			continue // died since publication
-		}
-		return ri.FP
-	}
-	return tor.Fingerprint{}
 }
 
 // HSDirOutage removes a contiguous segment of the HSDir ring at one
@@ -160,14 +168,12 @@ type HSDirOutage struct {
 }
 
 // Name implements Process.
-func (o *HSDirOutage) Name() string {
-	if o.Label != "" {
-		return o.Label
-	}
-	return "hsdir-outage"
-}
+func (o *HSDirOutage) Name() string { return cmp.Or(o.Label, "hsdir-outage") }
 
-func (o *HSDirOutage) validate(*tor.Network) error {
+func (o *HSDirOutage) validate(t Target) error {
+	if err := checkRelayTarget(o.Name(), t); err != nil {
+		return err
+	}
 	if o.After < 0 {
 		return fmt.Errorf("faults: %s: negative delay", o.Name())
 	}
@@ -184,11 +190,12 @@ func (o *HSDirOutage) validate(*tor.Network) error {
 
 func (o *HSDirOutage) attach(e *Engine, rng *sim.RNG) {
 	name := o.Name()
+	net := e.target.(*RelayTarget).net
 	e.sched.After(o.After, func() {
 		if e.stopped {
 			return
 		}
-		c := e.net.Consensus()
+		c := net.Consensus()
 		if c == nil {
 			return
 		}
@@ -196,13 +203,7 @@ func (o *HSDirOutage) attach(e *Engine, rng *sim.RNG) {
 		if len(ring) == 0 {
 			return
 		}
-		count := int(o.Frac*float64(len(ring)) + 0.5)
-		if count < 1 {
-			count = 1
-		}
-		if count > len(ring) {
-			count = len(ring)
-		}
+		count := min(max(int(o.Frac*float64(len(ring))+0.5), 1), len(ring))
 		victims := make(map[tor.Fingerprint]struct{}, count)
 		order := make([]tor.Fingerprint, 0, count)
 		add := func(fp tor.Fingerprint) {
@@ -213,7 +214,7 @@ func (o *HSDirOutage) attach(e *Engine, rng *sim.RNG) {
 		}
 		if o.Service != "" {
 			if sid, err := tor.ParseOnion(o.Service); err == nil {
-				now := e.net.Now()
+				now := net.Now()
 				for r := 0; r < tor.NumReplicas; r++ {
 					for _, fp := range c.ResponsibleHSDirs(tor.ComputeDescriptorID(sid, nil, r, now)) {
 						add(fp)
@@ -230,10 +231,10 @@ func (o *HSDirOutage) attach(e *Engine, rng *sim.RNG) {
 		}
 		removed := 0
 		for _, fp := range order {
-			if e.net.Relay(fp) == nil {
+			if net.Relay(fp) == nil {
 				continue // already dead (another process got it first)
 			}
-			e.net.RemoveRelay(fp)
+			net.RemoveRelay(fp)
 			removed++
 		}
 		if removed > 0 {
@@ -258,14 +259,12 @@ type IntroFailure struct {
 }
 
 // Name implements Process.
-func (f *IntroFailure) Name() string {
-	if f.Label != "" {
-		return f.Label
-	}
-	return "intro-failure"
-}
+func (f *IntroFailure) Name() string { return cmp.Or(f.Label, "intro-failure") }
 
-func (f *IntroFailure) validate(*tor.Network) error {
+func (f *IntroFailure) validate(t Target) error {
+	if err := checkRelayTarget(f.Name(), t); err != nil {
+		return err
+	}
 	if f.P <= 0 || f.P > 1 {
 		return fmt.Errorf("faults: %s: probability %g outside (0, 1]", f.Name(), f.P)
 	}
@@ -274,10 +273,11 @@ func (f *IntroFailure) validate(*tor.Network) error {
 
 func (f *IntroFailure) attach(e *Engine, rng *sim.RNG) {
 	name := f.Name()
-	e.net.SetIntroFault(f.P, rng, func() {
+	net := e.target.(*RelayTarget).net
+	net.SetIntroFault(f.P, rng, func() {
 		e.record(name, KindIntroFault, 1)
 	})
 	e.onStop = append(e.onStop, func() {
-		e.net.SetIntroFault(0, nil, nil)
+		net.SetIntroFault(0, nil, nil)
 	})
 }

@@ -1,13 +1,14 @@
 package churn
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"time"
 
+	"onionbots/internal/jsonx"
 	"onionbots/internal/sim"
 )
 
@@ -49,27 +50,20 @@ func EncodeTrace(events []Event) ([]byte, error) {
 }
 
 // ParseTrace decodes a JSON trace, validating kinds, counts, and time
-// ordering. Unknown fields are rejected like every other spec format
-// in the tree.
+// ordering. Every Kind string is accepted, so any engine trace —
+// membership or relay faults — round-trips through EncodeTrace.
+// Unknown fields and trailing content are rejected like every other
+// spec format in the tree.
 func ParseTrace(data []byte) ([]Event, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var raw []eventJSON
-	if err := dec.Decode(&raw); err != nil {
+	if err := jsonx.DecodeStrict(data, &raw); err != nil {
 		return nil, fmt.Errorf("parse churn trace: %w", err)
 	}
 	events := make([]Event, 0, len(raw))
 	last := time.Duration(-1)
 	for i, ej := range raw {
-		var kind Kind
-		switch ej.Kind {
-		case "join":
-			kind = KindJoin
-		case "leave":
-			kind = KindLeave
-		case "takedown":
-			kind = KindTakedown
-		default:
+		kind := parseKind(ej.Kind)
+		if kind == 0 {
 			return nil, fmt.Errorf("parse churn trace: event %d: unknown kind %q", i, ej.Kind)
 		}
 		if ej.AtS < 0 {
@@ -90,6 +84,16 @@ func ParseTrace(data []byte) ([]Event, error) {
 		events = append(events, Event{At: at, Process: ej.Process, Kind: kind, Count: count, Size: ej.Size})
 	}
 	return events, nil
+}
+
+// parseKind inverts Kind.String, returning 0 for an unknown name.
+func parseKind(name string) Kind {
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k)
+		}
+	}
+	return 0
 }
 
 // LoadTrace reads and parses a trace file.
@@ -126,12 +130,7 @@ type Replay struct {
 }
 
 // Name implements Process.
-func (r *Replay) Name() string {
-	if r.Label != "" {
-		return r.Label
-	}
-	return "replay"
-}
+func (r *Replay) Name() string { return cmp.Or(r.Label, "replay") }
 
 func (r *Replay) validate(Target) error {
 	last := time.Duration(-1)
@@ -149,7 +148,7 @@ func (r *Replay) validate(Target) error {
 		switch ev.Kind {
 		case KindJoin, KindLeave, KindTakedown:
 		default:
-			return fmt.Errorf("churn: %s: event %d has unknown kind %v", r.Name(), i, ev.Kind)
+			return fmt.Errorf("churn: %s: event %d has kind %v; replay plays back only join, leave and takedown events", r.Name(), i, ev.Kind)
 		}
 	}
 	return nil
@@ -163,37 +162,18 @@ func (r *Replay) attach(e *Engine, rng *sim.RNG) {
 			if e.stopped {
 				return
 			}
-			switch ev.Kind {
-			case KindJoin:
-				done := 0
-				for i := 0; i < ev.Count; i++ {
-					if e.target.Join(rng) {
-						done++
-					}
+			step := e.target.Leave
+			if ev.Kind == KindJoin {
+				step = e.target.Join
+			}
+			done := 0
+			for i := 0; i < ev.Count; i++ {
+				if step(rng) {
+					done++
 				}
-				if done > 0 {
-					e.record(name, KindJoin, done)
-				}
-			case KindLeave:
-				done := 0
-				for i := 0; i < ev.Count; i++ {
-					if e.target.Leave(rng) {
-						done++
-					}
-				}
-				if done > 0 {
-					e.record(name, KindLeave, done)
-				}
-			case KindTakedown:
-				done := 0
-				for i := 0; i < ev.Count; i++ {
-					if e.target.Leave(rng) {
-						done++
-					}
-				}
-				if done > 0 {
-					e.record(name, KindTakedown, done)
-				}
+			}
+			if done > 0 {
+				e.record(name, ev.Kind, done)
 			}
 		})
 	}

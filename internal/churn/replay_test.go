@@ -78,6 +78,8 @@ func TestParseTraceRejectsMalformed(t *testing.T) {
 		{"negative time", `[{"at_s": -1, "kind": "join"}]`, "negative time"},
 		{"negative count", `[{"at_s": 1, "kind": "join", "count": -2}]`, "negative count"},
 		{"time reversal", `[{"at_s": 9, "kind": "join"}, {"at_s": 3, "kind": "leave"}]`, "backwards"},
+		{"trailing content", "[{\"at_s\": 1, \"kind\": \"join\"}]\n]", "line 2, column 1: unexpected content after the JSON value"},
+		{"syntax error", "[\n  {\"at_s\": 1,}\n]", "line 2, column 14"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseTrace([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {

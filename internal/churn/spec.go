@@ -1,8 +1,6 @@
 package churn
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
@@ -54,15 +52,13 @@ type Spec struct {
 	TraceFile string `json:"trace_file,omitempty"`
 }
 
-// ParseSpec decodes and validates a JSON spec. Unknown fields are
-// rejected, mirroring sweep parsing, so a typo ("rate" for "leave")
-// cannot silently disable an axis.
+// ParseSpec decodes and validates a JSON spec. Unknown fields and
+// trailing content are rejected, mirroring sweep parsing, so a typo
+// ("rate" for "leave") cannot silently disable an axis.
 func ParseSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("parse churn spec: %w", jsonx.Describe(data, err))
+	if err := jsonx.DecodeStrict(data, &s); err != nil {
+		return Spec{}, fmt.Errorf("parse churn spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err

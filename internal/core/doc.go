@@ -20,9 +20,9 @@
 // and unpooled runs stay byte-identical per seed.
 //
 // Bots degrade gracefully when the infrastructure fails under them
-// (internal/faults): a rally that cannot reach the C&C still leaves
-// the bot alive and peered with its bootstrap neighbors, counts the
-// failure, and queues a re-rally on a capped exponential backoff so
-// the bot registers once the C&C heals; dials run under the
-// BotConfig.Retry policy (tor.RetryPolicy).
+// (the relay fault processes in internal/churn): a rally that cannot
+// reach the C&C still leaves the bot alive and peered with its
+// bootstrap neighbors, counts the failure, and queues a re-rally on a
+// capped exponential backoff so the bot registers once the C&C heals;
+// dials run under the BotConfig.Retry policy (tor.RetryPolicy).
 package core

@@ -40,8 +40,8 @@
 // specs — Poisson join/leave, diurnal cycles, correlated takedowns,
 // trace replays), SOAP campaign configurations (internal/soap specs —
 // clone budgets, wave cadence, proof-of-work policy), infrastructure
-// fault planes (internal/faults specs — relay crash/restart rates,
-// HSDir outage waves, intro-failure probability, client retry
+// fault planes (churn.FaultSpec — relay crash/restart rates, HSDir
+// outage waves, intro-failure probability, client retry
 // budgets), seeds, and trial
 // replications. Tasks expands the grid into labelled
 // tasks for the Runner, and Aggregate folds the outcomes into one

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"onionbots/internal/churn"
-	"onionbots/internal/faults"
 )
 
 // The headline shape claim of the fault plane: under a targeted 30%
@@ -201,7 +200,7 @@ func TestParamsFaultsOverride(t *testing.T) {
 	if !ok {
 		t.Fatal("relay-outage not registered")
 	}
-	spec := faults.Spec{IntroFailP: 0.5, RetryAttempts: 2, RetryBackoffS: 30}
+	spec := churn.FaultSpec{IntroFailP: 0.5, RetryAttempts: 2, RetryBackoffS: 30}
 	results, err := def.Run(Params{Quick: true, Seed: 3, N: 6, Faults: &spec})
 	if err != nil {
 		t.Fatal(err)

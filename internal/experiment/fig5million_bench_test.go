@@ -10,7 +10,7 @@ import (
 // overlay and its no-repair control, churn both down to a residue
 // through the full deletion sweep, measuring components/centrality/
 // diameter along the way. Beyond wall clock it reports the post-run
-// heap high-water mark (heap-MiB) so BENCH_pr9.json records the memory
+// heap high-water mark (heap-MiB), the number that shows the memory
 // profile staying flat at million-bot scale. Run with -benchtime=1x:
 // one iteration IS the experiment (the Makefile bench target does
 // this; the point costs tens of seconds, not nanoseconds).

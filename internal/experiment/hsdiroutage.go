@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"onionbots/internal/churn"
 	"onionbots/internal/core"
-	"onionbots/internal/faults"
 	"onionbots/internal/sim"
 	"onionbots/internal/tor"
 )
@@ -58,7 +58,7 @@ type HSDirOutageConfig struct {
 	SampleEvery time.Duration
 	// Spec is the fault plane and retry budget (the swept axis). The
 	// preset is a targeted 30% outage with a 4-attempt retry budget.
-	Spec faults.Spec
+	Spec churn.FaultSpec
 	// Seed drives all randomness.
 	Seed uint64
 }
@@ -69,7 +69,7 @@ type HSDirOutageConfig struct {
 // against a 4-attempt retry budget backing off from 30 virtual
 // minutes — enough to straddle the next consensus and republish cycle.
 func DefaultHSDirOutageConfig(quick bool) HSDirOutageConfig {
-	spec := faults.Spec{
+	spec := churn.FaultSpec{
 		OutageFrac: 0.3, OutageAtH: 2, OutageTargeted: true,
 		RetryAttempts: 4, RetryBackoffS: 1800,
 	}
@@ -121,8 +121,8 @@ func RunHSDirOutage(cfg HSDirOutageConfig) (*Result, error) {
 		return nil, err
 	}
 
-	eng := faults.NewEngine(bn.Sched, sim.SubstreamSeed(cfg.Seed, "hsdir-outage/faults"), bn.Net)
-	if err := cfg.Spec.Attach(eng, faults.AttachOptions{TargetService: bn.Master.Onion()}); err != nil {
+	eng := churn.NewEngine(bn.Sched, sim.SubstreamSeed(cfg.Seed, "hsdir-outage/faults"), churn.NewRelayTarget(bn.Net))
+	if err := cfg.Spec.Attach(eng, bn.Master.Onion()); err != nil {
 		return nil, err
 	}
 
@@ -201,7 +201,7 @@ func RunHSDirOutage(cfg HSDirOutageConfig) (*Result, error) {
 		Series{Name: "outage-window-reachability", Points: []Point{{X: 0, Y: windowReach}}},
 		Series{Name: "final-reachability", Points: []Point{{X: 0, Y: finalReach}}})
 
-	crashed, restarted, outaged, introFaults := eng.Counts()
+	crashed, restarted, outaged, introFaults := eng.FaultCounts()
 	st := bn.Net.Stats()
 	res.AddNote("faults %s: %d crashed, %d restarted, %d outaged, %d intro faults",
 		cfg.Spec.Label(), crashed, restarted, outaged, introFaults)

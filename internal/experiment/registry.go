@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"onionbots/internal/churn"
-	"onionbots/internal/faults"
 	"onionbots/internal/soap"
 )
 
@@ -43,7 +42,7 @@ type Params struct {
 	// that run one (relay-outage, hsdir-outage): which fault processes
 	// to inject and which client retry budget to fight them with. nil
 	// keeps the preset; experiments without a fault phase ignore it.
-	Faults *faults.Spec `json:"faults,omitempty"`
+	Faults *churn.FaultSpec `json:"faults,omitempty"`
 }
 
 // Definition is one registered experiment: a stable ID, a title for

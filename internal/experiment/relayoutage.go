@@ -6,7 +6,6 @@ import (
 
 	"onionbots/internal/churn"
 	"onionbots/internal/core"
-	"onionbots/internal/faults"
 	"onionbots/internal/graph"
 	"onionbots/internal/sim"
 	"onionbots/internal/tor"
@@ -60,7 +59,7 @@ type RelayOutageConfig struct {
 	Duration    time.Duration
 	SampleEvery time.Duration
 	// Spec is the fault plane and retry budget (the swept axis).
-	Spec faults.Spec
+	Spec churn.FaultSpec
 	// Churn optionally composes a membership churn process with the
 	// infrastructure faults (nil = static population).
 	Churn *churn.Spec
@@ -74,7 +73,7 @@ type RelayOutageConfig struct {
 // off from one virtual minute — transient path failures heal fast, so
 // short backoffs pay here, unlike the directory-outage scenario.
 func DefaultRelayOutageConfig(quick bool) RelayOutageConfig {
-	spec := faults.Spec{CrashRate: 4, RestartH: 1, RetryAttempts: 3, RetryBackoffS: 60}
+	spec := churn.FaultSpec{CrashRate: 4, RestartH: 1, RetryAttempts: 3, RetryBackoffS: 60}
 	if quick {
 		return RelayOutageConfig{
 			Relays: 30, Bots: 10, ExtraRelays: 15,
@@ -128,8 +127,8 @@ func RunRelayOutage(cfg RelayOutageConfig) (*Result, error) {
 		return nil, err
 	}
 
-	eng := faults.NewEngine(bn.Sched, sim.SubstreamSeed(cfg.Seed, "relay-outage/faults"), bn.Net)
-	if err := cfg.Spec.Attach(eng, faults.AttachOptions{TargetService: bn.Master.Onion()}); err != nil {
+	eng := churn.NewEngine(bn.Sched, sim.SubstreamSeed(cfg.Seed, "relay-outage/faults"), churn.NewRelayTarget(bn.Net))
+	if err := cfg.Spec.Attach(eng, bn.Master.Onion()); err != nil {
 		return nil, err
 	}
 	var churnEng *churn.Engine
@@ -215,7 +214,7 @@ func RunRelayOutage(cfg RelayOutageConfig) (*Result, error) {
 		Series{Name: "reachability", Points: []Point{{X: 0, Y: reach}}},
 		Series{Name: "non-quality", Points: []Point{{X: 0, Y: quality}}})
 
-	crashed, restarted, outaged, introFaults := eng.Counts()
+	crashed, restarted, outaged, introFaults := eng.FaultCounts()
 	st := bn.Net.Stats()
 	res.AddNote("faults %s: %d crashed, %d restarted, %d outaged, %d intro faults",
 		cfg.Spec.Label(), crashed, restarted, outaged, introFaults)

@@ -1,14 +1,11 @@
 package experiment
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
 
 	"onionbots/internal/churn"
-	"onionbots/internal/faults"
 	"onionbots/internal/jsonx"
 	"onionbots/internal/soap"
 	"onionbots/internal/stats"
@@ -56,7 +53,7 @@ type Sweep struct {
 	// one axis crossing failure intensity against resilience, which is
 	// how "does a retry budget buy back C&C reachability under a 30%
 	// directory outage?" becomes a grid question.
-	Faults []faults.Spec `json:"faults,omitempty"`
+	Faults []churn.FaultSpec `json:"faults,omitempty"`
 	// Trials replicates every grid point this many times (default 1).
 	// Replicas share Params but get distinct labels, hence distinct RNG
 	// substreams — the cheap way to average away seed noise.
@@ -71,11 +68,9 @@ type Sweep struct {
 // are rejected so a typo ("seed" for "seeds") cannot silently collapse
 // a grid axis.
 func ParseSweep(data []byte) (*Sweep, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Sweep
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("parse sweep: %w", jsonx.Describe(data, err))
+	if err := jsonx.DecodeStrict(data, &s); err != nil {
+		return nil, fmt.Errorf("parse sweep: %w", err)
 	}
 	if len(s.Experiments) == 0 {
 		return nil, fmt.Errorf("parse sweep: no experiments listed")
@@ -192,7 +187,7 @@ func (s *Sweep) Tasks() ([]Task, error) {
 											sspec = &soaps[si]
 											fmt.Fprintf(&label, "/soap=%s", sspec.Label())
 										}
-										var fspec *faults.Spec
+										var fspec *churn.FaultSpec
 										if faultsSet {
 											fspec = &faultSpecs[fi]
 											fmt.Fprintf(&label, "/faults=%s", fspec.Label())
@@ -266,9 +261,9 @@ func axisSoap(xs []soap.Spec) ([]soap.Spec, bool) {
 }
 
 // axisFaults is axisChurn for the infrastructure-fault axis.
-func axisFaults(xs []faults.Spec) ([]faults.Spec, bool) {
+func axisFaults(xs []churn.FaultSpec) ([]churn.FaultSpec, bool) {
 	if len(xs) == 0 {
-		return make([]faults.Spec, 1), false
+		return make([]churn.FaultSpec, 1), false
 	}
 	return xs, true
 }
@@ -362,7 +357,7 @@ func soapLabels(specs []soap.Spec) []string {
 }
 
 // faultsLabels renders the faults axis for the grid note.
-func faultsLabels(specs []faults.Spec) []string {
+func faultsLabels(specs []churn.FaultSpec) []string {
 	out := make([]string, len(specs))
 	for i, spec := range specs {
 		out[i] = spec.Label()

@@ -16,6 +16,8 @@ func TestParseSweepValidates(t *testing.T) {
 		{"retired stores axis", `{"experiments":["fig7"],"stores":["flat"]}`, `unknown field "stores"`},
 		{"negative trials", `{"experiments":["fig6"],"trials":-1}`, "negative trials"},
 		{"bad json", `{`, "parse sweep"},
+		{"second document", "{\"experiments\":[\"fig6\"]}\n{\"seeds\":\"x\"} trailing garbage", "line 2, column 1: unexpected content after the JSON value"},
+		{"trailing bracket", `{"experiments":["fig6"]}]`, "column 25: unexpected content"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseSweep([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"onionbots/internal/churn"
-	"onionbots/internal/faults"
 	"onionbots/internal/soap"
 	"onionbots/internal/stats"
 )
@@ -430,7 +429,7 @@ func soapAxisNumeric(specs []soap.Spec) ([]float64, string, bool) {
 	return singleVaryingKnob(knobs)
 }
 
-func faultsAxisNumeric(specs []faults.Spec) ([]float64, string, bool) {
+func faultsAxisNumeric(specs []churn.FaultSpec) ([]float64, string, bool) {
 	if len(specs) < 2 {
 		return nil, "", false
 	}

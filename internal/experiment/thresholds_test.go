@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"onionbots/internal/churn"
-	"onionbots/internal/faults"
 	"onionbots/internal/soap"
 )
 
@@ -167,7 +166,7 @@ func TestAxisNumericDetection(t *testing.T) {
 		}
 	})
 	t.Run("faults retry ladder", func(t *testing.T) {
-		xs, display, ok := faultsAxisNumeric([]faults.Spec{
+		xs, display, ok := faultsAxisNumeric([]churn.FaultSpec{
 			{OutageFrac: 0.3, RetryAttempts: 1}, {OutageFrac: 0.3, RetryAttempts: 4},
 		})
 		if !ok || display != "retries" || xs[1] != 4 {

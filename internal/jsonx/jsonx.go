@@ -8,14 +8,38 @@
 // field path, so a typo'd grid file fails with "line 7, column 14:
 // field \"ns\": cannot unmarshal string into int" instead of a generic
 // parse error. Every JSON knob surface in the tree (sweep specs, churn/
-// soap/faults specs, server job submissions) routes its decode errors
-// through here.
+// soap/faults specs, churn traces, server job submissions) routes its
+// decode errors through here; the file-shaped ones decode through
+// DecodeStrict.
 package jsonx
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 )
+
+// DecodeStrict decodes the single JSON value in data into v. Unknown
+// object fields are rejected, so a typo cannot silently disable a knob,
+// and so is anything but whitespace after the value, so a spec with a
+// second document or stray bytes pasted after it fails instead of
+// running on its first half. Errors carry a line:column position where
+// one is known (see Describe).
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return Describe(data, err)
+	}
+	end := dec.InputOffset()
+	if i := bytes.IndexFunc(data[end:], func(r rune) bool {
+		return r != ' ' && r != '\t' && r != '\n' && r != '\r'
+	}); i >= 0 {
+		line, col := lineCol(data, end+int64(i)+1)
+		return fmt.Errorf("line %d, column %d: unexpected content after the JSON value", line, col)
+	}
+	return nil
+}
 
 // Describe rewraps a json decode error with the line and column the
 // offending byte sits at in data. Errors that carry no offset (unknown

@@ -79,3 +79,27 @@ func TestLineColClamps(t *testing.T) {
 		}
 	}
 }
+
+func TestDecodeStrict(t *testing.T) {
+	var s specShape
+	if err := DecodeStrict([]byte("{\"name\": \"x\", \"ns\": [1]}\n\t \r\n"), &s); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	if s.Name != "x" || len(s.Ns) != 1 {
+		t.Fatalf("decoded %+v", s)
+	}
+	cases := []struct{ name, doc, wantErr string }{
+		{"second value", "{\"name\": \"x\"}\n{\"ns\": \"x\"}", "line 2, column 1: unexpected content after the JSON value"},
+		{"garbage", `{"name": "x"} xyz`, "line 1, column 15: unexpected content"},
+		{"stray brackets", `{"quick": true}]]`, "line 1, column 16: unexpected content"},
+		{"unknown field", `{"nmae": "typo"}`, `unknown field "nmae"`},
+		{"syntax error", "{\n  \"ns\": [1,]\n}", "line 2, column 12"},
+		{"empty", "", "EOF"},
+	}
+	for _, tc := range cases {
+		var s specShape
+		if err := DecodeStrict([]byte(tc.doc), &s); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}

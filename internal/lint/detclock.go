@@ -17,7 +17,6 @@ var simFacingPackages = map[string]bool{
 	"sim":        true,
 	"tor":        true,
 	"churn":      true,
-	"faults":     true,
 	"soap":       true,
 	"ddsr":       true,
 	"pow":        true,

@@ -3,7 +3,6 @@ package scenario
 import (
 	"onionbots/internal/churn"
 	"onionbots/internal/experiment"
-	"onionbots/internal/faults"
 	"onionbots/internal/soap"
 )
 
@@ -172,7 +171,7 @@ func init() {
 		Figure:   "§VI-A fault plane",
 		Sweep: &experiment.Sweep{
 			Experiments: []string{"hsdir-outage"},
-			Faults: []faults.Spec{
+			Faults: []churn.FaultSpec{
 				{OutageFrac: 0.3, OutageAtH: 2, OutageTargeted: true, RetryAttempts: 1},
 				{OutageFrac: 0.3, OutageAtH: 2, OutageTargeted: true, RetryAttempts: 2, RetryBackoffS: 1800},
 				{OutageFrac: 0.3, OutageAtH: 2, OutageTargeted: true, RetryAttempts: 4, RetryBackoffS: 1800},
@@ -194,7 +193,7 @@ func init() {
 		Figure:   "§VI fault plane",
 		Sweep: &experiment.Sweep{
 			Experiments: []string{"relay-outage"},
-			Faults: []faults.Spec{
+			Faults: []churn.FaultSpec{
 				{CrashRate: 12, RestartH: 8, RetryAttempts: 4, RetryBackoffS: 60},
 			},
 			Seeds:  []uint64{1},

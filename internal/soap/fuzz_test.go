@@ -16,6 +16,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"non": 3}`))
 	f.Add([]byte(`{"clones": -1}`))
 	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"clones": 8} {"clones": 9}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil {

@@ -1,8 +1,6 @@
 package soap
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -42,11 +40,9 @@ type Spec struct {
 // cannot silently run the default campaign under a mislabeled grid
 // point.
 func ParseSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("parse soap spec: %w", jsonx.Describe(data, err))
+	if err := jsonx.DecodeStrict(data, &s); err != nil {
+		return Spec{}, fmt.Errorf("parse soap spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err

@@ -29,6 +29,7 @@ func TestSpecParseValidateAndConfig(t *testing.T) {
 		{"negative round", `{"round_s": -2}`, "negative round"},
 		{"bits without pow", `{"solve_bits": 12}`, "without solve_pow"},
 		{"absurd bits", `{"solve_pow": true, "solve_bits": 50}`, "grind"},
+		{"trailing content", `{"clones": 8} {"clones": 9}`, "column 15: unexpected content after the JSON value"},
 	}
 	for _, tc := range bad {
 		if _, err := ParseSpec([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -48,9 +48,9 @@
 //
 // # Client resilience
 //
-// The client side answers the infrastructure fault plane
-// (internal/faults): Proxy.DialAsync retries failed dials under a
-// RetryPolicy — bounded attempts, exponential backoff on the
+// The client side answers the infrastructure fault plane (the relay
+// fault processes in internal/churn): Proxy.DialAsync retries failed
+// dials under a RetryPolicy — bounded attempts, exponential backoff on the
 // simulated clock — and after every failure invalidates the cached
 // descriptor, marks the guard set dirty, and rotates replica
 // preference so the retry is a fresh attempt. A zero policy makes

@@ -125,11 +125,11 @@ type Network struct {
 	// freelist's high-water mark is the deepest cell nesting of the run.
 	wireFree []*[CellSize]byte
 
-	// Intro-fault injection (internal/faults.IntroFailure): when armed,
-	// each INTRODUCE1 a client sends is eaten with probability
-	// introFaultP, decided by a draw from introFaultRNG — the fault
-	// process's private substream, so arming the fault never perturbs
-	// the network's main random stream.
+	// Intro-fault injection (churn.IntroFailure): when armed, each
+	// INTRODUCE1 a client sends is eaten with probability introFaultP,
+	// decided by a draw from introFaultRNG — the fault process's
+	// private substream, so arming the fault never perturbs the
+	// network's main random stream.
 	introFaultP    float64
 	introFaultRNG  *sim.RNG
 	introFaultNote func()
