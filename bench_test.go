@@ -29,8 +29,9 @@ func BenchmarkVanityOnionSearch(b *testing.B) {
 // BenchmarkCellRelayHop measures the data-plane fast path in isolation:
 // one fixed-size message pushed end to end over an established
 // rendezvous connection — an onion-layered send, three forward hops, a
-// rendezvous join, and three backward hops, all through the cached
-// per-hop cipher state and recycled cell buffers.
+// rendezvous join, and three backward hops, each direction's onion
+// layers cut from the network keystream into recycled pad frames and
+// cell buffers.
 func BenchmarkCellRelayHop(b *testing.B) {
 	sched := sim.NewScheduler()
 	n := tor.NewNetwork(sched, sim.NewRNG(2), tor.Config{})

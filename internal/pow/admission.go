@@ -176,12 +176,12 @@ func (a *Admission) evictOldest() {
 // counter-hash suffices and keeps the package dependency-free.
 func (a *Admission) mintChallenge(onion string) []byte {
 	a.nextChal++
-	seed := make([]byte, 0, len(onion)+16)
-	seed = append(seed, []byte("pow-challenge:")...)
+	seed := make([]byte, 0, len("pow-challenge:")+len(onion)+4+8)
+	seed = append(seed, "pow-challenge:"...)
 	seed = append(seed, onion...)
 	seed = append(seed, byte(a.nextChal), byte(a.nextChal>>8),
 		byte(a.nextChal>>16), byte(a.nextChal>>24))
-	d := digest(seed, a.nextChal)
+	d := digest(seed[:len(seed)+8], a.nextChal) // the tail holds the nonce
 	return d[:16]
 }
 

@@ -19,7 +19,7 @@ func Verify(challenge []byte, nonce uint64, difficulty uint8) bool {
 	if difficulty > MaxDifficulty {
 		return false
 	}
-	return leadingZeroBits(digest(challenge, nonce)) >= int(difficulty)
+	return leadingZeroBits(digest(preimage(challenge), nonce)) >= int(difficulty)
 }
 
 // Solve finds a nonce meeting the difficulty and reports how many hash
@@ -29,9 +29,10 @@ func Solve(challenge []byte, difficulty uint8) (nonce uint64, hashes uint64) {
 	if difficulty == 0 {
 		return 0, 0
 	}
+	buf := preimage(challenge)
 	for n := uint64(0); ; n++ {
 		hashes++
-		if leadingZeroBits(digest(challenge, n)) >= int(difficulty) {
+		if leadingZeroBits(digest(buf, n)) >= int(difficulty) {
 			return n, hashes
 		}
 	}
@@ -42,15 +43,19 @@ func ExpectedHashes(difficulty uint8) float64 {
 	return float64(uint64(1) << difficulty)
 }
 
-func digest(challenge []byte, nonce uint64) [sha256.Size]byte {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], nonce)
-	h := sha256.New()
-	h.Write(challenge)
-	h.Write(n[:])
-	var out [sha256.Size]byte
-	copy(out[:], h.Sum(nil))
-	return out
+// preimage returns a challenge || nonce buffer with room for the nonce,
+// so one buffer serves every nonce a solve tries.
+func preimage(challenge []byte) []byte {
+	buf := make([]byte, len(challenge)+8)
+	copy(buf, challenge)
+	return buf
+}
+
+// digest is SHA-256(challenge || big-endian nonce) over a buffer from
+// preimage: it writes nonce into the last 8 bytes and hashes in place.
+func digest(buf []byte, nonce uint64) [sha256.Size]byte {
+	binary.BigEndian.PutUint64(buf[len(buf)-8:], nonce)
+	return sha256.Sum256(buf)
 }
 
 func leadingZeroBits(d [sha256.Size]byte) int {

@@ -1,6 +1,9 @@
 package pow
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -68,9 +71,49 @@ func TestSolveCostMatchesExpectation(t *testing.T) {
 	}
 }
 
+// streamDigest is the streaming-hash construction digest replaced:
+// SHA-256 over challenge, then the big-endian nonce.
+func streamDigest(challenge []byte, nonce uint64) []byte {
+	var n [8]byte
+	binary.BigEndian.PutUint64(n[:], nonce)
+	h := sha256.New()
+	h.Write(challenge)
+	h.Write(n[:])
+	return h.Sum(nil)
+}
+
+func TestDigestMatchesStreamingHash(t *testing.T) {
+	cases := []struct {
+		challenge []byte
+		nonce     uint64
+	}{
+		{nil, 0},
+		{[]byte{1, 2, 3}, 1},
+		{[]byte("pow-challenge:abcdefghijklmnop.onion"), 1 << 40},
+		{bytes.Repeat([]byte{0xff}, 64), ^uint64(0)},
+	}
+	for _, c := range cases {
+		buf := preimage(c.challenge)
+		// Reusing one buffer across nonces must not leak a stale nonce.
+		digest(buf, c.nonce+1)
+		if got := digest(buf, c.nonce); !bytes.Equal(got[:], streamDigest(c.challenge, c.nonce)) {
+			t.Fatalf("digest(%x, %d) differs from the streaming hash", c.challenge, c.nonce)
+		}
+	}
+	// Challenge minting hashes its seed in a buffer with the nonce tail
+	// built in; the challenge bytes must be what the streaming hash gives.
+	a := NewAdmission(0, 0, 0, 0)
+	onion := "abcdefghijklmnop.onion"
+	got := a.mintChallenge(onion)
+	seed := append([]byte("pow-challenge:"+onion), 1, 0, 0, 0)
+	if want := streamDigest(seed, 1)[:16]; !bytes.Equal(got, want) {
+		t.Fatalf("mintChallenge = %x, want %x", got, want)
+	}
+}
+
 func TestLeadingZeroBitsProperty(t *testing.T) {
 	err := quick.Check(func(challenge []byte, nonce uint64) bool {
-		d := digest(challenge, nonce)
+		d := digest(preimage(challenge), nonce)
 		lz := leadingZeroBits(d)
 		if lz < 0 || lz > 256 {
 			return false

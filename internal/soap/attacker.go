@@ -92,6 +92,7 @@ type Attacker struct {
 
 	clones    map[string]*clone // by onion
 	cloneList []string          // creation order, for NoN subsets
+	siblings  []string          // cloneSiblings' scratch pool
 	intel     map[string]*intel // by bot onion
 	queue     []string          // discovered, not yet contacted
 	running   bool
@@ -272,15 +273,19 @@ func (a *Attacker) learnNeighbors(bot string, neighbors []string) {
 }
 
 // cloneSiblings picks a subset of clone addresses to disclose as a
-// clone's "neighbors".
+// clone's "neighbors". It draws exactly what sim.Sample would, but
+// shuffles a pool the Attacker owns: the returned view is valid only
+// until the next call, so callers encode it at once.
 func (a *Attacker) cloneSiblings(exclude string) []string {
-	pool := make([]string, 0, len(a.cloneList))
+	pool := a.siblings[:0]
 	for _, o := range a.cloneList {
 		if o != exclude {
 			pool = append(pool, o)
 		}
 	}
-	return sim.Sample(a.rng, pool, a.cfg.NoNSubset)
+	a.siblings = pool
+	a.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	return pool[:min(max(a.cfg.NoNSubset, 0), len(pool))]
 }
 
 func containsString(xs []string, s string) bool {

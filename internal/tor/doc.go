@@ -16,16 +16,14 @@
 // The simulated data plane is built to sustain campaign-scale
 // experiment loads (millions of dials and cells per run):
 //
-//   - Circuit crypto is cached per hop: one AES schedule is expanded
-//     per network and each hop direction is a value-type CTR stream
-//     positioned by a fresh random IV, so building a circuit performs
-//     no key expansion and no heap allocation, and forwarding a cell
-//     performs no key derivation and no cipher construction
-//     (stream.go). Streams that carry a second cell upgrade once to the
-//     stdlib's pipelined CTR implementation.
-//   - Cells flow through recycled fixed-size scratch buffers
-//     (Network.getWire/putWire) and are decoded in place with
-//     payload views, so relaying a cell allocates nothing.
+//   - Circuits carry no cipher state. Each network owns one AES-CTR
+//     keystream; whoever originates a cell cuts a pad frame with one
+//     layer per hop from it, and each hop XORs its own layer
+//     (stream.go). Building a circuit and sending a cell allocate
+//     nothing, and each cell-hop costs one AES pass.
+//   - Cells and pad frames flow through recycled buffers
+//     (Network.getWire/getPad) and are decoded in place with payload
+//     views, so relaying a cell allocates nothing.
 //   - Each proxy keeps a verified-descriptor cache consulted before
 //     hitting HSDirs. A cached descriptor is reused only when a cheap
 //     coherence probe proves a fresh fetch would return byte-identical

@@ -115,9 +115,14 @@ type Network struct {
 	verifiedDescs  map[[sha256.Size]byte]struct{}
 	verifiedIntros map[[ed25519.PublicKeySize + ed25519.SignatureSize]byte]struct{}
 
-	// cellCipher is the shared AES schedule behind every hop's CTR
-	// stream; see stream.go for the keying model.
-	cellCipher cipher.Block
+	// keystream is the one AES-CTR stream every cell's onion layers are
+	// cut from, and padFree recycles the pad frames they are cut into
+	// (stream.go).
+	keystream cipher.Stream
+	padFree   [][]byte
+	// observeCell, when non-nil, sees the body of every cell a relay
+	// receives before the relay touches its own layer. Only tests set it.
+	observeCell func(r *Relay, forward bool, body []byte)
 
 	// wireFree recycles cell scratch buffers through the synchronous
 	// data plane. Cells are processed depth-first on one goroutine, so a
@@ -165,7 +170,7 @@ func NewNetwork(sched *sim.Scheduler, rng *sim.RNG, cfg Config) *Network {
 		relays:         make(map[Fingerprint]*Relay),
 		verifiedDescs:  make(map[[sha256.Size]byte]struct{}),
 		verifiedIntros: make(map[[ed25519.PublicKeySize + ed25519.SignatureSize]byte]struct{}),
-		cellCipher:     block,
+		keystream:      cipher.NewCTR(block, make([]byte, aes.BlockSize)),
 	}
 }
 
@@ -391,12 +396,7 @@ func (n *Network) RemoveRelay(fp Fingerprint) {
 			}
 		}
 		if rc.next != nil {
-			end := Cell{CircID: id, Cmd: CmdEnd}
-			wire := n.getWire()
-			if err := end.encodeInto(wire); err == nil {
-				rc.next.teardownForward(id, wire)
-			}
-			n.putWire(wire)
+			rc.next.teardown(id)
 		}
 		r.destroyBackward(rc, id)
 	}
@@ -425,12 +425,7 @@ func (r *Relay) destroyBackward(rc *relayCirc, circID uint64) {
 		if !ok {
 			return
 		}
-		delete(prev.circuits, circID)
-		if prc.introService != (ServiceID{}) {
-			if cur, ok := prev.introByService[prc.introService]; ok && cur == circID {
-				delete(prev.introByService, prc.introService)
-			}
-		}
+		prev.forget(circID, prc)
 		origin = prc.origin
 		prev = prc.prev
 	}

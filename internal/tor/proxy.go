@@ -28,16 +28,10 @@ const (
 	purposeServiceRend
 )
 
-// hopCrypto is the origin's mirror of one hop's stream pair.
-type hopCrypto struct {
-	fwd, bwd ctrStream
-}
-
 // originCirc is the proxy-side state of a circuit this proxy built.
 type originCirc struct {
 	id      uint64
 	path    []*Relay
-	hops    []hopCrypto // mirrors of each hop's forward/backward streams
 	purpose circuitPurpose
 	hs      *HiddenService // for purposeHSIntro
 	conn    *Conn          // for rendezvous purposes
@@ -205,24 +199,23 @@ func NewProxy(n *Network) *OnionProxy {
 // Network returns the proxy's network.
 func (p *OnionProxy) Network() *Network { return p.net }
 
-// buildCircuit extends a circuit along path, installing fresh symmetric
-// stream state at each hop (the completed-handshake model): a fresh
-// random IV per hop and direction positions a CTR stream over the
-// network's shared cell cipher, with the relay's copy and the origin's
-// mirror advancing independently. No per-hop key expansion or heap
-// allocation happens here; see stream.go.
+// buildCircuit extends a circuit along path (the completed-handshake
+// model). The circuit holds no cipher state: every cell's layers come
+// from the network keystream (stream.go), so each relay only records
+// its hop index, and the relays' records share one slab.
 func (p *OnionProxy) buildCircuit(path []*Relay, purpose circuitPurpose) *originCirc {
 	p.net.nextCirc++
 	id := p.net.nextCirc
-	oc := &originCirc{id: id, path: path, purpose: purpose, hops: make([]hopCrypto, len(path))}
-	var fwdIV, bwdIV [16]byte
+	oc := &originCirc{id: id, path: path, purpose: purpose}
+	slab := make([]relayCirc, len(path))
+	var ivs [32]byte
 	for i, r := range path {
-		p.net.rng.Fill(fwdIV[:])
-		p.net.rng.Fill(bwdIV[:])
-		rc := &relayCirc{
-			fwd: newCTRStream(p.net, &fwdIV),
-			bwd: newCTRStream(p.net, &bwdIV),
-		}
+		// These four 64-bit draws per hop are unused. They keep the
+		// network's random stream, and with it every pinned output,
+		// where it was when each hop drew its own forward and backward IV.
+		p.net.rng.Fill(ivs[:])
+		rc := &slab[i]
+		rc.hop = i
 		if i == 0 {
 			rc.origin = p
 		} else {
@@ -232,15 +225,15 @@ func (p *OnionProxy) buildCircuit(path []*Relay, purpose circuitPurpose) *origin
 			rc.next = path[i+1]
 		}
 		r.circuits[id] = rc
-		oc.hops[i] = hopCrypto{fwd: newCTRStream(p.net, &fwdIV), bwd: newCTRStream(p.net, &bwdIV)}
 	}
 	p.circuits[id] = oc
 	p.net.stats.CircuitsBuilt++
 	return oc
 }
 
-// send originates a cell on the circuit, applying all onion layers into
-// a stack scratch buffer that then flows through the whole path.
+// send originates a cell on the circuit: it cuts a pad frame with one
+// layer per hop, applies every layer, and pushes the cell through the
+// whole path in one recycled scratch buffer.
 func (p *OnionProxy) send(oc *originCirc, cmd Command, flags byte, payload []byte) error {
 	cell := Cell{CircID: oc.id, Cmd: cmd, Flags: flags, Payload: payload}
 	wire := p.net.getWire()
@@ -248,22 +241,20 @@ func (p *OnionProxy) send(oc *originCirc, cmd Command, flags byte, payload []byt
 	if err := cell.encodeInto(wire); err != nil {
 		return err
 	}
-	for i := len(oc.hops) - 1; i >= 0; i-- {
-		oc.hops[i].fwd.xorBody(wire)
-	}
-	oc.path[0].receiveForward(oc.id, wire)
+	pad := p.net.getPad(len(oc.path))
+	defer p.net.putPad(pad)
+	xorLayers(wire, pad)
+	oc.path[0].receiveForward(oc.id, wire, pad)
 	return nil
 }
 
 // deliverBackward receives a backward cell addressed to this origin.
-func (p *OnionProxy) deliverBackward(circID uint64, wire *[CellSize]byte) {
+func (p *OnionProxy) deliverBackward(circID uint64, wire *[CellSize]byte, pad []byte) {
 	oc, ok := p.circuits[circID]
 	if !ok {
 		return
 	}
-	for i := range oc.hops {
-		oc.hops[i].bwd.xorBody(wire)
-	}
+	xorLayers(wire, pad)
 	var cellBuf Cell
 	cell := &cellBuf
 	if err := decodeCellView(cell, wire); err != nil {
@@ -325,12 +316,7 @@ func (p *OnionProxy) teardown(oc *originCirc) {
 		return
 	}
 	delete(p.circuits, oc.id)
-	end := Cell{CircID: oc.id, Cmd: CmdEnd}
-	wire := p.net.getWire()
-	defer p.net.putWire(wire)
-	if err := end.encodeInto(wire); err == nil {
-		oc.path[0].teardownForward(oc.id, wire)
-	}
+	oc.path[0].teardown(oc.id)
 }
 
 // Shutdown closes every circuit and stops every service on this proxy —

@@ -232,6 +232,11 @@ func TestDuplicateServiceRejected(t *testing.T) {
 	}
 }
 
+// TestRelaysObserveOnlyEncryptedCells checks onion layering on the
+// wire: over a rendezvous connection (two 3-hop circuits), every relay
+// a message passes receives a body that differs from the plaintext and
+// from every other relay's input, in both directions, and the far end
+// still decodes the plaintext.
 func TestRelaysObserveOnlyEncryptedCells(t *testing.T) {
 	n := newTestNetwork(t, 19, 15)
 	server := NewProxy(n)
@@ -244,21 +249,98 @@ func TestRelaysObserveOnlyEncryptedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send([]byte("secret payload")); err != nil {
-		t.Fatal(err)
+	type seen struct {
+		relay   *Relay
+		forward bool
+		body    []byte
 	}
-	n.Scheduler().RunFor(time.Second)
-	if _, ok := serverConn.Recv(); !ok {
-		t.Fatal("message lost")
+	var obs []seen
+	n.observeCell = func(r *Relay, forward bool, body []byte) {
+		obs = append(obs, seen{r, forward, append([]byte(nil), body...)})
 	}
-	// Every relay moved cells, and the network counted the switching
-	// work; this is what a traffic observer sees — volume, not content.
-	total := 0
-	for _, ri := range n.Consensus().Relays {
-		total += n.Relay(ri.FP).Stats().CellsRelayed
+	check := func(from, to *Conn, msg string) {
+		t.Helper()
+		obs = obs[:0]
+		if err := from.Send([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		plain, err := (&Cell{Cmd: CmdData, Payload: []byte(msg)}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Forward over the sender's circuit: guard, middle, rendezvous
+		// point. Backward over the receiver's circuit the rendezvous
+		// point originates the cell, so its middle and guard receive it.
+		var fwd, bwd int
+		for i, o := range obs {
+			if o.forward {
+				fwd++
+			} else {
+				bwd++
+			}
+			if bytes.Equal(o.body, plain[8:]) {
+				t.Fatalf("%q: relay %s (forward=%v) received the plaintext", msg, o.relay.Fingerprint(), o.forward)
+			}
+			for _, p := range obs[:i] {
+				if bytes.Equal(o.body, p.body) {
+					t.Fatalf("%q: relays %s and %s received the same ciphertext", msg, p.relay.Fingerprint(), o.relay.Fingerprint())
+				}
+			}
+		}
+		if fwd != 3 || bwd != 2 {
+			t.Fatalf("%q: observed %d forward and %d backward relay inputs, want 3 and 2", msg, fwd, bwd)
+		}
+		n.Scheduler().RunFor(time.Second)
+		if got, ok := to.Recv(); !ok || string(got) != msg {
+			t.Fatalf("endpoint decoded %q ok=%v, want %q", got, ok, msg)
+		}
 	}
-	if total == 0 {
-		t.Fatal("no cells were relayed; traffic bypassed the network")
+	check(conn, serverConn, "secret payload")
+	check(serverConn, conn, "secret reply")
+}
+
+// TestCellPlaneAllocatesNothing pins the cipher plane at zero heap
+// allocations: the first data cell over each freshly built 3-hop
+// circuit, and a backward cell from each circuit's terminal, reuse the
+// network's wire buffers and pad frames.
+func TestCellPlaneAllocatesNothing(t *testing.T) {
+	n := newTestNetwork(t, 23, 15)
+	p := NewProxy(n)
+	const runs = 50
+	circs := make([]*originCirc, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range circs {
+		path, err := p.pickPath(Fingerprint{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		circs[i] = p.buildCircuit(path, purposeClientRend)
+	}
+	payload := bytes.Repeat([]byte{0xa5}, MaxCellPayload)
+	next := 0
+	before := n.Stats().CellsSwitched
+	if a := testing.AllocsPerRun(runs, func() {
+		if err := p.send(circs[next], CmdData, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); a != 0 {
+		t.Errorf("forward data cell: %.1f allocs, want 0", a)
+	}
+	next = 0
+	if a := testing.AllocsPerRun(runs, func() {
+		oc := circs[next]
+		oc.path[len(oc.path)-1].sendBackwardFromTerminal(oc.id, CmdRendezvous2, 0, nil)
+		next++
+	}); a != 0 {
+		t.Errorf("backward cell from the terminal: %.1f allocs, want 0", a)
+	}
+	if got, want := n.Stats().CellsSwitched-before, 2*3*len(circs); got != want {
+		t.Fatalf("cells switched = %d, want %d", got, want)
+	}
+	for i, oc := range circs {
+		if !oc.ready {
+			t.Fatalf("circuit %d: RENDEZVOUS2 never reached the origin intact", i)
+		}
 	}
 }
 

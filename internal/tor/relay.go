@@ -54,10 +54,10 @@ const cookieSize = 16
 
 // relayCirc is this relay's per-circuit routing state.
 type relayCirc struct {
-	fwd, bwd ctrStream
-	prev     *Relay      // nil when the previous hop is the origin proxy
-	origin   *OnionProxy // non-nil only at the first hop
-	next     *Relay      // nil when this relay is the terminal hop
+	hop    int         // this relay's position on the path; its pad slot
+	prev   *Relay      // nil when the previous hop is the origin proxy
+	origin *OnionProxy // non-nil only at the first hop
+	next   *Relay      // nil when this relay is the terminal hop
 	// linked is the circuit id of the partner circuit once this relay,
 	// acting as a rendezvous point, has joined two circuits. Zero means
 	// not linked.
@@ -92,17 +92,20 @@ func (r *Relay) isHSDir() bool {
 // receiveForward processes a forward-direction wire cell: strip this
 // relay's onion layer, then forward or, at the terminal hop, interpret.
 // The cell is processed synchronously hop to hop, so a single scratch
-// buffer flows through the whole path instead of being copied per hop.
-func (r *Relay) receiveForward(circID uint64, wire *[CellSize]byte) {
+// buffer and pad frame flow through the whole path.
+func (r *Relay) receiveForward(circID uint64, wire *[CellSize]byte, pad []byte) {
 	rc, ok := r.circuits[circID]
 	if !ok {
 		return // circuit torn down; drop silently as Tor does
 	}
-	rc.fwd.xorBody(wire)
+	if r.net.observeCell != nil {
+		r.net.observeCell(r, true, wire[8:])
+	}
+	xorLayer(wire, pad, rc.hop)
 	r.stats.CellsRelayed++
 	r.net.stats.CellsSwitched++
 	if rc.next != nil {
-		rc.next.receiveForward(circID, wire)
+		rc.next.receiveForward(circID, wire, pad)
 		return
 	}
 	var cell Cell
@@ -112,37 +115,53 @@ func (r *Relay) receiveForward(circID uint64, wire *[CellSize]byte) {
 	r.handleTerminal(circID, rc, &cell)
 }
 
-// receiveBackward processes a backward-direction wire cell: add this
-// relay's onion layer and pass toward the origin.
-func (r *Relay) receiveBackward(circID uint64, wire *[CellSize]byte) {
+// receiveBackward processes a backward-direction wire cell arriving from
+// the next hop.
+func (r *Relay) receiveBackward(circID uint64, wire *[CellSize]byte, pad []byte) {
 	rc, ok := r.circuits[circID]
 	if !ok {
 		return
 	}
-	rc.bwd.xorBody(wire)
+	if r.net.observeCell != nil {
+		r.net.observeCell(r, false, wire[8:])
+	}
+	r.relayBackward(circID, rc, wire, pad)
+}
+
+// relayBackward adds this relay's onion layer and passes the cell toward
+// the origin.
+func (r *Relay) relayBackward(circID uint64, rc *relayCirc, wire *[CellSize]byte, pad []byte) {
+	xorLayer(wire, pad, rc.hop)
 	r.stats.CellsRelayed++
 	r.net.stats.CellsSwitched++
 	if rc.prev != nil {
-		rc.prev.receiveBackward(circID, wire)
+		rc.prev.receiveBackward(circID, wire, pad)
 		return
 	}
 	if rc.origin != nil {
-		rc.origin.deliverBackward(circID, wire)
+		rc.origin.deliverBackward(circID, wire, pad)
 	}
 }
 
 // sendBackwardFromTerminal originates a cell at this (terminal) relay
-// and pushes it toward the circuit origin. payload may alias a forward
-// wire buffer: it is copied into the fresh backward buffer before any
-// onion layer touches it.
+// and pushes it toward the circuit origin, cutting a pad frame with one
+// layer for this hop and each hop before it. payload may alias a
+// forward wire buffer: it is copied into the fresh backward buffer
+// before any onion layer touches it.
 func (r *Relay) sendBackwardFromTerminal(circID uint64, cmd Command, flags byte, payload []byte) {
+	rc, ok := r.circuits[circID]
+	if !ok {
+		return
+	}
 	cell := Cell{CircID: circID, Cmd: cmd, Flags: flags, Payload: payload}
 	wire := r.net.getWire()
 	defer r.net.putWire(wire)
 	if err := cell.encodeInto(wire); err != nil {
 		return
 	}
-	r.receiveBackward(circID, wire)
+	pad := r.net.getPad(rc.hop + 1)
+	defer r.net.putPad(pad)
+	r.relayBackward(circID, rc, wire, pad)
 }
 
 // handleTerminal interprets a cell addressed to this relay.
@@ -163,7 +182,7 @@ func (r *Relay) handleTerminal(circID uint64, rc *relayCirc, cell *Cell) {
 			}
 		}
 	case CmdEnd:
-		r.teardown(circID, true)
+		r.teardown(circID)
 	default:
 		// Unknown terminal command: drop.
 	}
@@ -245,52 +264,16 @@ func (r *Relay) handleRendezvous1(serviceCirc uint64, rc *relayCirc, p []byte) {
 	r.sendBackwardFromTerminal(clientCirc, CmdRendezvous2, 0, nil)
 }
 
-// teardown removes circuit state at this relay and propagates the END
-// both onward and across any rendezvous link.
-func (r *Relay) teardown(circID uint64, fromPrev bool) {
+// teardown drops this relay's state for a circuit and propagates the
+// teardown toward the terminal hop and across any rendezvous link. END
+// is a control signal: it bypasses onion crypto and every hop drops
+// state on sight.
+func (r *Relay) teardown(circID uint64) {
 	rc, ok := r.circuits[circID]
 	if !ok {
 		return
 	}
-	delete(r.circuits, circID)
-	if rc.introService != (ServiceID{}) {
-		if cur, ok := r.introByService[rc.introService]; ok && cur == circID {
-			delete(r.introByService, rc.introService)
-		}
-	}
-	if rc.linked != 0 {
-		linked := rc.linked
-		rc.linked = 0
-		if lc, ok := r.circuits[linked]; ok {
-			lc.linked = 0
-			r.sendBackwardFromTerminal(linked, CmdEnd, 0, nil)
-			delete(r.circuits, linked)
-		}
-	}
-	if fromPrev && rc.next != nil {
-		// Forward the teardown without onion processing; END is a
-		// control signal and the next hops drop state on sight.
-		end := Cell{CircID: circID, Cmd: CmdEnd}
-		wire := r.net.getWire()
-		defer r.net.putWire(wire)
-		if err := end.encodeInto(wire); err == nil {
-			rc.next.teardownForward(circID, wire)
-		}
-	}
-}
-
-// teardownForward propagates an END toward the terminal hop.
-func (r *Relay) teardownForward(circID uint64, wire *[CellSize]byte) {
-	rc, ok := r.circuits[circID]
-	if !ok {
-		return
-	}
-	delete(r.circuits, circID)
-	if rc.introService != (ServiceID{}) {
-		if cur, ok := r.introByService[rc.introService]; ok && cur == circID {
-			delete(r.introByService, rc.introService)
-		}
-	}
+	r.forget(circID, rc)
 	if rc.linked != 0 {
 		if lc, ok := r.circuits[rc.linked]; ok {
 			lc.linked = 0
@@ -299,6 +282,17 @@ func (r *Relay) teardownForward(circID uint64, wire *[CellSize]byte) {
 		}
 	}
 	if rc.next != nil {
-		rc.next.teardownForward(circID, wire)
+		rc.next.teardown(circID)
+	}
+}
+
+// forget deletes a circuit's state at this relay, releasing the
+// introduction-point registration it held, if any.
+func (r *Relay) forget(circID uint64, rc *relayCirc) {
+	delete(r.circuits, circID)
+	if rc.introService != (ServiceID{}) {
+		if cur, ok := r.introByService[rc.introService]; ok && cur == circID {
+			delete(r.introByService, rc.introService)
+		}
 	}
 }

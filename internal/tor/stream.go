@@ -1,54 +1,55 @@
 package tor
 
-import (
-	"crypto/aes"
-	"crypto/cipher"
-)
+import "crypto/subtle"
 
-// The simulator models Tor's per-hop relay crypto as a running
-// AES-128-CTR stream per hop and direction, exactly as before, but the
-// cipher state is built for speed: one AES key schedule is expanded per
-// network (the cell cipher), and each hop direction is a value-type CTR
-// stream positioned by a fresh 128-bit random IV drawn from the run's
-// RNG. The (key, IV) pair is unique per hop and direction, so every hop
-// still applies a distinct keystream — what the onion-layering
-// experiments observe — while building a circuit performs zero heap
-// allocations and zero AES key expansions. The secrecy of the hop
-// streams is not load-bearing in the simulation (the completed-handshake
-// model installs identical state at both endpoints by construction).
+// Per-hop relay crypto is modelled as one AES-128-CTR layer per hop, all
+// cut from a single keystream the network owns. Whoever originates a
+// cell (the origin proxy going forward, the terminal relay going
+// backward) fills a pad frame with one bodySize slot per hop in one
+// pipelined XORKeyStream call. Each relay XORs its own slot into the
+// cell body; the origin applies or strips every slot. So each hop sees
+// a different ciphertext and only the endpoints see the plaintext, with
+// no per-circuit cipher state: building a circuit and sending a cell
+// allocate nothing, and each cell-hop costs one AES pass. No result
+// reads a ciphertext, so which keystream bytes a cell gets changes no
+// output.
 //
-// A stream materializes its stdlib CTR state lazily, on the first cell
-// it actually carries: creating a stream (building a circuit) stays
-// allocation-free, and every cell — including the single cell a
-// one-shot handshake circuit ever sees — runs through the pipelined
-// multi-block AES assembly. An earlier revision kept a block-at-a-time
-// zero-allocation path for first cells; under join-heavy protocol
-// churn, where almost every cell is a first cell, the unpipelined AES
-// cost (~3×) dominated the one small allocation it saved.
+// Frames are recycled per network like wire buffers. Cells run
+// depth-first on one goroutine and a nested cell starts only after the
+// cell that caused it has used every slot, so a frame is returned once
+// its call tree unwinds.
 
-// ctrStream is a persistent AES-CTR keystream for one direction of one
-// circuit hop. The origin proxy and the relay hold synchronized copies;
-// every cell that traverses the hop advances both. The zero value is
-// unusable; make one with newCTRStream.
-type ctrStream struct {
-	net  *Network            // owner of the shared cell cipher
-	ctr  [aes.BlockSize]byte // the stream's IV (counter start)
-	fast cipher.Stream       // non-nil once the first cell arrived
-}
+// bodySize is the onion-encrypted span of a wire cell: everything after
+// the cleartext circuit id.
+const bodySize = CellSize - 8
 
-// newCTRStream positions a stream at iv over the network's shared cell
-// cipher. The two synchronized copies of a hop direction are created by
-// calling this twice with the same iv.
-func newCTRStream(n *Network, iv *[aes.BlockSize]byte) ctrStream {
-	return ctrStream{net: n, ctr: *iv}
-}
-
-// xorBody applies the keystream to the onion-encrypted portion of a wire
-// cell: everything after the cleartext circuit id.
-func (c *ctrStream) xorBody(wire *[CellSize]byte) {
-	b := wire[8:]
-	if c.fast == nil {
-		c.fast = cipher.NewCTR(c.net.cellCipher, c.ctr[:])
+// getPad takes a pad frame off the freelist (or allocates one) and fills
+// it with hops slots of fresh keystream. Callers putPad it back once the
+// cell's synchronous processing has fully unwound.
+func (n *Network) getPad(hops int) []byte {
+	var pad []byte
+	if k := len(n.padFree); k > 0 && cap(n.padFree[k-1]) >= hops*bodySize {
+		pad, n.padFree = n.padFree[k-1], n.padFree[:k-1]
+	} else {
+		pad = make([]byte, hops*bodySize)
 	}
-	c.fast.XORKeyStream(b, b)
+	pad = pad[:hops*bodySize]
+	clear(pad)
+	n.keystream.XORKeyStream(pad, pad)
+	return pad
+}
+
+// putPad returns a pad frame to the freelist.
+func (n *Network) putPad(pad []byte) { n.padFree = append(n.padFree, pad) }
+
+// xorLayer applies or strips hop's onion layer on the body of a wire cell.
+func xorLayer(wire *[CellSize]byte, pad []byte, hop int) {
+	subtle.XORBytes(wire[8:], wire[8:], pad[hop*bodySize:(hop+1)*bodySize])
+}
+
+// xorLayers applies or strips every layer in pad: the origin's side.
+func xorLayers(wire *[CellSize]byte, pad []byte) {
+	for hop := 0; hop < len(pad)/bodySize; hop++ {
+		xorLayer(wire, pad, hop)
+	}
 }
