@@ -81,6 +81,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseFaultSpec -fuzztime=$(FUZZTIME) ./internal/churn/
 	$(GO) test -run=NONE -fuzz=FuzzParseSweep -fuzztime=$(FUZZTIME) ./internal/experiment/
 	$(GO) test -run=NONE -fuzz=FuzzReplayJournal -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeWire -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeCell -fuzztime=$(FUZZTIME) ./internal/tor/
 
 # determinism asserts the scheduler/runner contract: -exp all output is
 # byte-identical at any -parallel value.

@@ -6,6 +6,7 @@ package onionbots_test
 
 import (
 	"testing"
+	"time"
 
 	"onionbots/internal/botcrypto"
 	"onionbots/internal/sim"
@@ -26,12 +27,12 @@ func BenchmarkVanityOnionSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkCellRelayHop measures the data-plane fast path in isolation:
-// one fixed-size message pushed end to end over an established
-// rendezvous connection — an onion-layered send, three forward hops, a
-// rendezvous join, and three backward hops, each direction's onion
-// layers cut from the network keystream into recycled pad frames and
-// cell buffers.
+// BenchmarkCellRelayHop measures steady-state message delivery: one
+// full-cell message pushed end to end over an established rendezvous
+// connection — an onion-layered send, three forward hops, a rendezvous
+// join, three backward hops, reassembly at the far proxy, and the
+// scheduled delivery into the server's handler. Each iteration drains
+// the scheduler, so every delivery event fires inside the timed loop.
 func BenchmarkCellRelayHop(b *testing.B) {
 	sched := sim.NewScheduler()
 	n := tor.NewNetwork(sched, sim.NewRNG(2), tor.Config{})
@@ -40,8 +41,11 @@ func BenchmarkCellRelayHop(b *testing.B) {
 	}
 	var seed [32]byte
 	seed[0] = 2
+	delivered := 0
 	server := tor.NewProxy(n)
-	hs, err := server.Host(tor.IdentityFromSeed(seed), func(*tor.Conn) {})
+	hs, err := server.Host(tor.IdentityFromSeed(seed), func(c *tor.Conn) {
+		c.SetHandler(func([]byte) { delivered++ })
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,11 +54,17 @@ func BenchmarkCellRelayHop(b *testing.B) {
 		b.Fatal(err)
 	}
 	msg := make([]byte, tor.MaxCellPayload)
+	cfg := n.Config()
+	latency := cfg.HopLatency * time.Duration(2*cfg.PathLen)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := conn.Send(msg); err != nil {
 			b.Fatal(err)
+		}
+		sched.RunFor(latency)
+		if delivered != i+1 {
+			b.Fatalf("after %d sends, %d messages delivered", i+1, delivered)
 		}
 	}
 }

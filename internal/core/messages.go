@@ -72,7 +72,12 @@ type Envelope struct {
 
 // Encode renders the envelope.
 func (e *Envelope) Encode() []byte {
-	out := make([]byte, 0, 20+len(e.Payload))
+	return e.AppendTo(make([]byte, 0, 20+len(e.Payload)))
+}
+
+// AppendTo appends the envelope's encoding to out, so senders can
+// encode into a reused buffer.
+func (e *Envelope) AppendTo(out []byte) []byte {
 	out = append(out, byte(e.Type))
 	out = append(out, e.MsgID[:]...)
 	out = append(out, e.TTL)
@@ -114,7 +119,7 @@ func (w *writer) u64(v uint64) {
 	w.buf = append(w.buf, b[:]...)
 }
 func (w *writer) bytes(v []byte) { w.u16(len(v)); w.buf = append(w.buf, v...) }
-func (w *writer) str(v string)   { w.bytes([]byte(v)) }
+func (w *writer) str(v string)   { w.u16(len(v)); w.buf = append(w.buf, v...) }
 func (w *writer) raw(v []byte)   { w.buf = append(w.buf, v...) }
 
 type reader struct {
@@ -169,7 +174,16 @@ func (r *reader) bytes() []byte {
 	return v
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
+func (r *reader) str() string {
+	n := r.u16()
+	if r.err != nil || len(r.buf) < n {
+		r.fail()
+		return ""
+	}
+	v := string(r.buf[:n])
+	r.buf = r.buf[n:]
+	return v
+}
 
 func (r *reader) raw(n int) []byte {
 	if r.err != nil || len(r.buf) < n {

@@ -228,6 +228,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
+	// The 201 reports the job as admitted. Snapshot it before Enqueue:
+	// an idle executor may start the job before this handler writes.
+	admitted := j.Status()
 	if !s.exec.Enqueue(j) {
 		s.metrics.JobsRejected.Add(1)
 		j.setState(JobFailed, "job queue saturated at admission")
@@ -236,8 +239,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.JobsSubmitted.Add(1)
-	s.cfg.Logf("job %s: submitted (%s, %d tasks)", j.ID, j.Spec.Name, j.Status().Total)
-	writeJSON(w, http.StatusCreated, j.Status())
+	s.cfg.Logf("job %s: submitted (%s, %d tasks)", j.ID, j.Spec.Name, admitted.Total)
+	writeJSON(w, http.StatusCreated, admitted)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

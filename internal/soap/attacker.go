@@ -89,6 +89,7 @@ type Attacker struct {
 	netKey  []byte // recovered from the captured bot
 	netSeal *botcrypto.SealKey
 	sealBuf [botcrypto.SealedSize]byte
+	encBuf  [botcrypto.MaxSealedPlaintext]byte // envelope encoding scratch
 
 	clones    map[string]*clone // by onion
 	cloneList []string          // creation order, for NoN subsets
@@ -380,7 +381,7 @@ func (c *clone) newMsgID() [16]byte {
 }
 
 func (c *clone) send(conn *tor.Conn, env *core.Envelope) error {
-	if err := c.a.netSeal.SealSizedInto(c.a.sealBuf[:], env.Encode(), c.a.drbg); err != nil {
+	if err := c.a.netSeal.SealSizedInto(c.a.sealBuf[:], env.AppendTo(c.a.encBuf[:0]), c.a.drbg); err != nil {
 		return err
 	}
 	return conn.Send(c.a.sealBuf[:])
@@ -396,7 +397,7 @@ func (c *clone) onInboundConn(conn *tor.Conn) {
 // accept all peering, answer pings, watch gossip — and silently drop
 // every command (that is the neutralization).
 func (c *clone) onMessage(conn *tor.Conn, dialed string, raw []byte) {
-	plain, err := c.a.netSeal.Open(raw)
+	plain, err := c.a.netSeal.OpenView(raw)
 	if err != nil {
 		return
 	}

@@ -33,7 +33,7 @@ func TestRemoveRelayKillsCrossingConnections(t *testing.T) {
 	// definitely crossed some of them.
 	for _, ri := range append([]RelayInfo(nil), n.Consensus().Relays...) {
 		r := n.Relay(ri.FP)
-		if r != nil && len(r.circuits) > 0 {
+		if r != nil && r.circs.head != nil {
 			n.RemoveRelay(ri.FP)
 		}
 	}

@@ -50,23 +50,20 @@ func TimePeriod(now time.Time, id ServiceID) uint64 {
 //	secret-id-part = H(time-period || descriptor-cookie || replica)
 //	descriptor-id  = H(identifier || secret-id-part)
 //
-// H is SHA-1. cookie may be nil (no client authorization).
+// H is SHA-1. cookie may be nil (no client authorization). Both
+// digests hash stack buffers, so the call allocates nothing unless the
+// cookie is longer than 32 bytes.
 func ComputeDescriptorID(id ServiceID, cookie []byte, replica int, now time.Time) DescriptorID {
-	var tp [8]byte
-	binary.BigEndian.PutUint64(tp[:], TimePeriod(now, id))
+	var buf [8 + 32 + 1]byte
+	in := binary.BigEndian.AppendUint64(buf[:0], TimePeriod(now, id))
+	in = append(in, cookie...)
+	in = append(in, byte(replica))
+	secret := sha1.Sum(in)
 
-	h := sha1.New()
-	h.Write(tp[:])
-	h.Write(cookie)
-	h.Write([]byte{byte(replica)})
-	secret := h.Sum(nil)
-
-	h = sha1.New()
-	h.Write(id[:])
-	h.Write(secret)
-	var out DescriptorID
-	copy(out[:], h.Sum(nil))
-	return out
+	var outer [len(id) + sha1.Size]byte
+	copy(outer[:], id[:])
+	copy(outer[len(id):], secret[:])
+	return sha1.Sum(outer[:])
 }
 
 // DescriptorIDs returns the descriptor IDs for every replica.

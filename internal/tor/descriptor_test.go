@@ -1,6 +1,7 @@
 package tor
 
 import (
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 	"time"
@@ -127,5 +128,38 @@ func TestDescriptorCloneIsDeep(t *testing.T) {
 	c.Sig[0] ^= 0xff
 	if d.IntroPoints[0] == c.IntroPoints[0] || d.Sig[0] == c.Sig[0] {
 		t.Fatal("clone shares backing arrays with original")
+	}
+}
+
+// TestDescriptorIDVectors pins ComputeDescriptorID to digests produced
+// by the streaming sha1.New/Write/Sum construction it replaced: no
+// cookie, a 16-byte cookie, and a cookie too long for the stack buffer,
+// at both replicas. The common no-cookie call must not allocate.
+func TestDescriptorIDVectors(t *testing.T) {
+	for _, v := range []struct {
+		id      ServiceID
+		cookie  string
+		replica int
+		unix    int64
+		want    string
+	}{
+		{ServiceID{}, "", 0, 0, "16b0d9a0ae73def466f570cf77105b29bbfc1a4c"},
+		{ServiceID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, "0123456789abcdef", 1, 1421193600, "efa87a7bb7f252d71480511607280fd6a947167b"},
+		{ServiceID{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x77, 0x66}, "a-cookie-longer-than-thirty-two-bytes!!", 0, 1792417020, "b0bd097b70bc265380121bd295e2085ffe91771f"},
+	} {
+		var cookie []byte
+		if v.cookie != "" {
+			cookie = []byte(v.cookie)
+		}
+		got := ComputeDescriptorID(v.id, cookie, v.replica, time.Unix(v.unix, 0).UTC())
+		if hex.EncodeToString(got[:]) != v.want {
+			t.Errorf("ComputeDescriptorID(%x, %q, %d, %d) = %x, want %s", v.id, v.cookie, v.replica, v.unix, got, v.want)
+		}
+	}
+	now := time.Unix(1421193600, 0)
+	if a := testing.AllocsPerRun(20, func() {
+		_ = ComputeDescriptorID(ServiceID{7}, nil, 1, now)
+	}); a != 0 {
+		t.Errorf("ComputeDescriptorID allocates %.1f times per call, want 0", a)
 	}
 }

@@ -24,6 +24,23 @@
 //   - Cells and pad frames flow through recycled buffers
 //     (Network.getWire/getPad) and are decoded in place with payload
 //     views, so relaying a cell allocates nothing.
+//   - A circuit's hops point at each other (relayCirc.prev/next, and
+//     the first hop at its originCirc), so a cell walks pointers rather
+//     than looking its circuit up at every relay. Relays and proxies
+//     keep their live circuits in intrusive lists in id order; tearing
+//     a circuit down sets a flag the data path checks.
+//   - Delivered messages are reassembled into buffers the network
+//     recycles, and each Conn schedules deliveries through one bound
+//     callback that pops a FIFO (every message waits the same
+//     end-to-end latency, so FIFO order is firing order). Steady-state
+//     message delivery allocates nothing.
+//
+// # Handler contract
+//
+// A message passed to a Conn handler (SetHandler) is valid only during
+// the handler call: its buffer is recycled for a later message as soon
+// as the handler returns. A handler that keeps any bytes must copy
+// them. Messages returned by Recv are not recycled.
 //   - Each proxy keeps a verified-descriptor cache consulted before
 //     hitting HSDirs. A cached descriptor is reused only when a cheap
 //     coherence probe proves a fresh fetch would return byte-identical

@@ -36,9 +36,9 @@ func TestProxyPinsEntryGuards(t *testing.T) {
 		conn.Close()
 	}
 	// Inspect the proxy's remaining circuits' first hop.
-	for _, oc := range p.circuits {
-		if _, ok := guardSet[oc.path[0].Fingerprint()]; !ok {
-			t.Fatalf("circuit entered via non-guard %s", oc.path[0].Fingerprint())
+	for oc := p.circs.head; oc != nil; oc = oc.newer {
+		if _, ok := guardSet[oc.hops[0].relay.Fingerprint()]; !ok {
+			t.Fatalf("circuit entered via non-guard %s", oc.hops[0].relay.Fingerprint())
 		}
 	}
 }

@@ -129,6 +129,9 @@ type Network struct {
 	// buffer is always returned after its call tree unwinds; the
 	// freelist's high-water mark is the deepest cell nesting of the run.
 	wireFree []*[CellSize]byte
+	// msgFree recycles message reassembly buffers (OnionProxy.onData). A
+	// buffer returns here once its Conn handler has returned.
+	msgFree [][]byte
 
 	// Intro-fault injection (churn.IntroFailure): when armed, each
 	// INTRODUCE1 a client sends is eaten with probability introFaultP,
@@ -156,6 +159,20 @@ func (n *Network) getWire() *[CellSize]byte {
 func (n *Network) putWire(w *[CellSize]byte) {
 	n.wireFree = append(n.wireFree, w)
 }
+
+// getMsg takes an empty message buffer off the freelist (or allocates
+// one that holds a full cell payload).
+func (n *Network) getMsg() []byte {
+	if k := len(n.msgFree); k > 0 {
+		m := n.msgFree[k-1]
+		n.msgFree = n.msgFree[:k-1]
+		return m[:0]
+	}
+	return make([]byte, 0, MaxCellPayload)
+}
+
+// putMsg returns a message buffer to the freelist.
+func (n *Network) putMsg(m []byte) { n.msgFree = append(n.msgFree, m) }
 
 // NewNetwork creates an empty network on the given scheduler and RNG.
 func NewNetwork(sched *sim.Scheduler, rng *sim.RNG, cfg Config) *Network {
@@ -352,9 +369,8 @@ func (n *Network) newRelay(id *Identity, fp Fingerprint) *Relay {
 		fp:             fp,
 		net:            n,
 		joined:         n.Now(),
-		circuits:       make(map[uint64]*relayCirc),
-		introByService: make(map[ServiceID]uint64),
-		rendByCookie:   make(map[[cookieSize]byte]uint64),
+		introByService: make(map[ServiceID]*relayCirc),
+		rendByCookie:   make(map[[cookieSize]byte]*relayCirc),
 		store:          make(map[DescriptorID]*Descriptor),
 	}
 	n.relays[fp] = r
@@ -377,28 +393,19 @@ func (n *Network) RemoveRelay(fp Fingerprint) {
 	if r == nil {
 		return
 	}
-	ids := make([]uint64, 0, len(r.circuits))
-	for id := range r.circuits {
-		ids = append(ids, id)
-	}
-	sortUint64(ids)
-	for _, id := range ids {
-		rc, ok := r.circuits[id]
-		if !ok {
-			continue
-		}
-		delete(r.circuits, id)
-		if rc.linked != 0 {
-			if lc, ok := r.circuits[rc.linked]; ok {
-				lc.linked = 0
-				r.destroyBackward(lc, rc.linked)
-				delete(r.circuits, rc.linked)
-			}
+	// Destroy oldest first. Tearing circuits down never builds one, so
+	// the head is always the oldest circuit still alive here.
+	for rc := r.circs.head; rc != nil; rc = r.circs.head {
+		r.drop(rc)
+		if lc := rc.linked; lc != nil && !lc.closed {
+			lc.linked = nil
+			lc.destroyBackward()
+			r.drop(lc)
 		}
 		if rc.next != nil {
-			rc.next.teardown(id)
+			rc.next.teardown()
 		}
-		r.destroyBackward(rc, id)
+		rc.destroyBackward()
 	}
 	delete(n.relays, fp)
 	// Swap-remove from the insertion-order slice: O(1) per removal, and
@@ -417,28 +424,17 @@ func (n *Network) RemoveRelay(fp Fingerprint) {
 // destroyBackward walks toward the circuit origin deleting state and
 // finally notifies the origin proxy. Unlike data cells, destruction is
 // a link-level signal (as Tor's DESTROY is) and bypasses onion crypto.
-func (r *Relay) destroyBackward(rc *relayCirc, circID uint64) {
-	prev := rc.prev
+func (rc *relayCirc) destroyBackward() {
 	origin := rc.origin
-	for prev != nil {
-		prc, ok := prev.circuits[circID]
-		if !ok {
+	for prc := rc.prev; prc != nil; prc = prc.prev {
+		if prc.closed {
 			return
 		}
-		prev.forget(circID, prc)
+		prc.relay.forget(prc)
 		origin = prc.origin
-		prev = prc.prev
 	}
 	if origin != nil {
-		origin.circuitDestroyed(circID)
-	}
-}
-
-func sortUint64(xs []uint64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
+		origin.op.circuitDestroyed(origin)
 	}
 }
 

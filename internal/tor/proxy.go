@@ -31,22 +31,28 @@ const (
 // originCirc is the proxy-side state of a circuit this proxy built.
 type originCirc struct {
 	id      uint64
-	path    []*Relay
+	op      *OnionProxy
+	hops    []relayCirc // each path relay's state for this circuit
 	purpose circuitPurpose
 	hs      *HiddenService // for purposeHSIntro
 	conn    *Conn          // for rendezvous purposes
 	ready   bool           // client rend: RENDEZVOUS2 received
 	failed  bool           // END received
+	closed  bool           // dropped from the proxy's circuit list
 	frag    []byte         // DATA fragment reassembly buffer
+	circLinks[originCirc]
 }
+
+func (oc *originCirc) links() *circLinks[originCirc] { return &oc.circLinks }
 
 // OnionProxy is a participant's onion proxy (OP): it builds circuits,
 // hosts hidden services, and dials .onion addresses. One proxy per
 // simulated host. Like Tor, each proxy pins a small set of entry
 // guards and builds every circuit through one of them.
 type OnionProxy struct {
-	net      *Network
-	circuits map[uint64]*originCirc
+	net *Network
+	// circs lists the proxy's live circuits in id order.
+	circs    circList[originCirc, *originCirc]
 	services map[ServiceID]*HiddenService
 	guards   []Fingerprint
 	// guardEpoch is the relay-membership epoch the guard set was last
@@ -190,7 +196,6 @@ func (p *OnionProxy) pickPath(terminal Fingerprint) ([]*Relay, error) {
 func NewProxy(n *Network) *OnionProxy {
 	return &OnionProxy{
 		net:       n,
-		circuits:  make(map[uint64]*originCirc),
 		services:  make(map[ServiceID]*HiddenService),
 		descCache: make(map[ServiceID]*descCacheEntry),
 	}
@@ -202,33 +207,38 @@ func (p *OnionProxy) Network() *Network { return p.net }
 // buildCircuit extends a circuit along path (the completed-handshake
 // model). The circuit holds no cipher state: every cell's layers come
 // from the network keystream (stream.go), so each relay only records
-// its hop index, and the relays' records share one slab.
+// its hop index and its neighbours, in one slab per circuit.
 func (p *OnionProxy) buildCircuit(path []*Relay, purpose circuitPurpose) *originCirc {
 	p.net.nextCirc++
 	id := p.net.nextCirc
-	oc := &originCirc{id: id, path: path, purpose: purpose}
-	slab := make([]relayCirc, len(path))
+	oc := &originCirc{id: id, op: p, hops: make([]relayCirc, len(path)), purpose: purpose}
 	var ivs [32]byte
 	for i, r := range path {
 		// These four 64-bit draws per hop are unused. They keep the
 		// network's random stream, and with it every pinned output,
 		// where it was when each hop drew its own forward and backward IV.
 		p.net.rng.Fill(ivs[:])
-		rc := &slab[i]
-		rc.hop = i
+		rc := &oc.hops[i]
+		rc.id, rc.relay, rc.hop = id, r, int32(i)
 		if i == 0 {
-			rc.origin = p
+			rc.origin = oc
 		} else {
-			rc.prev = path[i-1]
+			rc.prev = &oc.hops[i-1]
 		}
 		if i+1 < len(path) {
-			rc.next = path[i+1]
+			rc.next = &oc.hops[i+1]
 		}
-		r.circuits[id] = rc
+		r.circs.push(rc)
 	}
-	p.circuits[id] = oc
+	p.circs.push(oc)
 	p.net.stats.CircuitsBuilt++
 	return oc
+}
+
+// drop removes a circuit from the proxy's live set.
+func (p *OnionProxy) drop(oc *originCirc) {
+	oc.closed = true
+	p.circs.remove(oc)
 }
 
 // send originates a cell on the circuit: it cuts a pad frame with one
@@ -241,17 +251,16 @@ func (p *OnionProxy) send(oc *originCirc, cmd Command, flags byte, payload []byt
 	if err := cell.encodeInto(wire); err != nil {
 		return err
 	}
-	pad := p.net.getPad(len(oc.path))
+	pad := p.net.getPad(len(oc.hops))
 	defer p.net.putPad(pad)
 	xorLayers(wire, pad)
-	oc.path[0].receiveForward(oc.id, wire, pad)
+	oc.hops[0].receiveForward(wire, pad)
 	return nil
 }
 
 // deliverBackward receives a backward cell addressed to this origin.
-func (p *OnionProxy) deliverBackward(circID uint64, wire *[CellSize]byte, pad []byte) {
-	oc, ok := p.circuits[circID]
-	if !ok {
+func (p *OnionProxy) deliverBackward(oc *originCirc, wire *[CellSize]byte, pad []byte) {
+	if oc.closed {
 		return
 	}
 	xorLayers(wire, pad)
@@ -274,14 +283,19 @@ func (p *OnionProxy) deliverBackward(circID uint64, wire *[CellSize]byte, pad []
 		if oc.conn != nil {
 			oc.conn.markClosed()
 		}
-		delete(p.circuits, circID)
+		p.drop(oc)
 	}
 }
 
-// onData reassembles message fragments and hands complete messages to
-// the circuit's connection with the end-to-end latency of the two
-// joined circuits.
+// onData reassembles message fragments into a network-recycled buffer
+// and hands complete messages to the circuit's connection with the
+// end-to-end latency of the two joined circuits. Every message waits
+// the same delay, so each Conn's deliveries fire in the order they were
+// scheduled and one bound callback per Conn pops them from a FIFO.
 func (p *OnionProxy) onData(oc *originCirc, cell *Cell) {
+	if oc.frag == nil {
+		oc.frag = p.net.getMsg()
+	}
 	oc.frag = append(oc.frag, cell.Payload...)
 	if cell.Flags&flagMore != 0 {
 		return
@@ -290,33 +304,34 @@ func (p *OnionProxy) onData(oc *originCirc, cell *Cell) {
 	oc.frag = nil
 	conn := oc.conn
 	if conn == nil {
+		p.net.putMsg(msg)
 		return
 	}
+	conn.inflight = append(conn.inflight, msg)
 	delay := p.net.cfg.HopLatency * time.Duration(2*p.net.cfg.PathLen)
-	p.net.sched.After(delay, func() { conn.deliver(msg) })
+	p.net.sched.After(delay, conn.deliverNext)
 }
 
 // circuitDestroyed handles a link-level circuit destruction (a relay on
 // the path died).
-func (p *OnionProxy) circuitDestroyed(circID uint64) {
-	oc, ok := p.circuits[circID]
-	if !ok {
+func (p *OnionProxy) circuitDestroyed(oc *originCirc) {
+	if oc.closed {
 		return
 	}
 	oc.failed = true
 	if oc.conn != nil {
 		oc.conn.markClosed()
 	}
-	delete(p.circuits, circID)
+	p.drop(oc)
 }
 
 // teardown sends END up the circuit and drops local state.
 func (p *OnionProxy) teardown(oc *originCirc) {
-	if _, live := p.circuits[oc.id]; !live {
+	if oc.closed {
 		return
 	}
-	delete(p.circuits, oc.id)
-	oc.path[0].teardown(oc.id)
+	p.drop(oc)
+	oc.hops[0].teardown()
 }
 
 // Shutdown closes every circuit and stops every service on this proxy —
@@ -325,20 +340,15 @@ func (p *OnionProxy) Shutdown() {
 	for _, hs := range p.services {
 		hs.Stop()
 	}
-	ids := make([]uint64, 0, len(p.circuits))
-	for id := range p.circuits {
-		ids = append(ids, id)
-	}
 	// Teardown emits relay-side effects (conn closes, cell traffic), so
-	// the order must not leak map iteration order into the run.
-	sortUint64(ids)
-	for _, id := range ids {
-		if oc, ok := p.circuits[id]; ok {
-			if oc.conn != nil {
-				oc.conn.markClosed()
-			}
-			p.teardown(oc)
+	// circuits go oldest first. Tearing one down can drop others from
+	// the list but never builds one, so the head is always the oldest
+	// live circuit.
+	for oc := p.circs.head; oc != nil; oc = p.circs.head {
+		if oc.conn != nil {
+			oc.conn.markClosed()
 		}
+		p.teardown(oc)
 	}
 }
 
@@ -353,6 +363,20 @@ type Conn struct {
 	queue  [][]byte
 	onMsg  func([]byte)
 	closed bool
+	// inflight holds reassembled messages whose delivery event has not
+	// fired yet, oldest first from inHead; deliverNext is c.deliver,
+	// bound once so scheduling a delivery allocates nothing.
+	inflight    [][]byte
+	inHead      int
+	deliverNext func()
+}
+
+// newConn binds a connection to a rendezvous circuit.
+func newConn(oc *originCirc) *Conn {
+	c := &Conn{op: oc.op, circ: oc}
+	c.deliverNext = c.deliver
+	oc.conn = c
+	return c
 }
 
 // RemoteOnion reports the dialed address ("" on the server side — the
@@ -399,7 +423,10 @@ func (c *Conn) Recv() ([]byte, bool) {
 }
 
 // SetHandler installs fn as the synchronous delivery callback, first
-// draining any queued messages into it.
+// draining any queued messages into it. A message passed to fn is valid
+// only until fn returns: its buffer is then recycled for a later
+// message, so a handler that keeps bytes must copy them. Messages
+// returned by Recv stay valid.
 func (c *Conn) SetHandler(fn func([]byte)) {
 	for _, m := range c.queue {
 		fn(m)
@@ -417,15 +444,23 @@ func (c *Conn) Close() {
 	c.op.teardown(c.circ)
 }
 
-func (c *Conn) deliver(msg []byte) {
-	if c.closed {
-		return
+// deliver hands the oldest in-flight message to the handler, or queues
+// it for Recv, and recycles its buffer once the handler returns.
+func (c *Conn) deliver() {
+	msg := c.inflight[c.inHead]
+	c.inflight[c.inHead] = nil
+	if c.inHead++; c.inHead == len(c.inflight) {
+		c.inflight, c.inHead = c.inflight[:0], 0
 	}
-	if c.onMsg != nil {
+	switch {
+	case c.closed:
+		c.op.net.putMsg(msg)
+	case c.onMsg != nil:
 		c.onMsg(msg)
-		return
+		c.op.net.putMsg(msg)
+	default:
+		c.queue = append(c.queue, msg)
 	}
-	c.queue = append(c.queue, msg)
 }
 
 func (c *Conn) markClosed() { c.closed = true }
@@ -437,7 +472,7 @@ type HiddenService struct {
 	handler     func(*Conn)
 	cookie      []byte
 	introPoints []Fingerprint
-	introCircs  []uint64
+	introCircs  []*originCirc
 	stopped     bool
 	lastPublish time.Time
 	lastPeriod  uint64
@@ -504,7 +539,7 @@ func (p *OnionProxy) Host(identity *Identity, handler func(*Conn)) (*HiddenServi
 			return nil, err
 		}
 		hs.introPoints = append(hs.introPoints, ip)
-		hs.introCircs = append(hs.introCircs, oc.id)
+		hs.introCircs = append(hs.introCircs, oc)
 	}
 	if err := hs.publishDescriptors(); err != nil {
 		return nil, err
@@ -538,10 +573,8 @@ func (hs *HiddenService) Stop() {
 		return
 	}
 	hs.stopped = true
-	for _, id := range hs.introCircs {
-		if oc, ok := hs.op.circuits[id]; ok {
-			hs.op.teardown(oc)
-		}
+	for _, oc := range hs.introCircs {
+		hs.op.teardown(oc)
 	}
 	delete(hs.op.services, hs.identity.ServiceID())
 }
@@ -663,7 +696,7 @@ func (hs *HiddenService) repairIntroCircuits() bool {
 	}
 	payload := hs.introPayload
 	for i := 0; i < len(hs.introCircs); i++ {
-		if _, alive := hs.op.circuits[hs.introCircs[i]]; alive {
+		if !hs.introCircs[i].closed {
 			continue
 		}
 		changed = true
@@ -696,7 +729,7 @@ func (hs *HiddenService) repairIntroCircuits() bool {
 			continue
 		}
 		hs.introPoints[i] = ip
-		hs.introCircs[i] = oc.id
+		hs.introCircs[i] = oc
 	}
 	return changed
 }
@@ -715,8 +748,8 @@ func (hs *HiddenService) onIntroduce2(p []byte) {
 		return
 	}
 	oc := hs.op.buildCircuit(path, purposeServiceRend)
-	conn := &Conn{op: hs.op, circ: oc, local: hs.Onion()}
-	oc.conn = conn
+	conn := newConn(oc)
+	conn.local = hs.Onion()
 	if err := hs.op.send(oc, CmdRendezvous1, 0, cookie); err != nil {
 		return
 	}
@@ -761,8 +794,8 @@ func (p *OnionProxy) dialOnce(onion string) (*Conn, error) {
 		return nil, err
 	}
 	rendCirc := p.buildCircuit(rpPath, purposeClientRend)
-	conn := &Conn{op: p, circ: rendCirc, remote: onion}
-	rendCirc.conn = conn
+	conn := newConn(rendCirc)
+	conn.remote = onion
 	if err := p.send(rendCirc, CmdEstablishRendezvous, 0, cookie); err != nil {
 		return nil, err
 	}

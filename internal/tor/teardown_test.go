@@ -129,7 +129,9 @@ func TestCircuitStateCleanedAfterClose(t *testing.T) {
 func countCircuits(n *Network) int {
 	total := 0
 	for _, ri := range n.Consensus().Relays {
-		total += len(n.Relay(ri.FP).circuits)
+		for rc := n.Relay(ri.FP).circs.head; rc != nil; rc = rc.newer {
+			total++
+		}
 	}
 	return total
 }
