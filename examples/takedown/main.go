@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"onionbots/internal/ddsr"
@@ -16,13 +17,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "takedown: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	const (
 		n = 1000
 		k = 10
@@ -38,7 +39,7 @@ func run() error {
 	}
 	perm := sim.NewRNG(7).Perm(n)
 
-	fmt.Printf("%-10s %12s %12s %14s %14s\n",
+	fmt.Fprintf(w, "%-10s %12s %12s %14s %14s\n",
 		"deleted", "DDSR comps", "Norm comps", "DDSR diam", "Norm diam")
 	mrng := sim.NewRNG(9)
 	for i := 0; i < n-5; i++ {
@@ -52,12 +53,12 @@ func run() error {
 		nc := graph.NumComponents(baseline.Graph())
 		dd, _ := graph.DiameterApprox(overlay.Graph(), 4, mrng)
 		nd, _ := graph.DiameterApprox(baseline.Graph(), 4, mrng)
-		fmt.Printf("%-10d %12d %12d %14d %14d\n", deleted, dc, nc, dd, nd)
+		fmt.Fprintf(w, "%-10d %12d %12d %14d %14d\n", deleted, dc, nc, dd, nd)
 	}
 
 	st := overlay.Stats()
-	fmt.Printf("\nDDSR maintenance: %d repair edges added, %d pruned, %d floor re-peerings\n",
+	fmt.Fprintf(w, "\nDDSR maintenance: %d repair edges added, %d pruned, %d floor re-peerings\n",
 		st.RepairEdgesAdded, st.EdgesPruned, st.FloorEdgesAdded)
-	fmt.Println("(diameters are of the largest surviving component)")
+	fmt.Fprintln(w, "(diameters are of the largest surviving component)")
 	return nil
 }

@@ -107,6 +107,19 @@ func DecodeEnvelope(raw []byte) (*Envelope, error) {
 
 type writer struct{ buf []byte }
 
+// newWriter returns a writer whose buffer holds size bytes, so an
+// encoder that sizes its payload up front allocates exactly once.
+func newWriter(size int) writer { return writer{buf: make([]byte, 0, size)} }
+
+// strsLen is the encoded size of a list of str fields.
+func strsLen(ss []string) int {
+	n := 2 * len(ss)
+	for _, s := range ss {
+		n += len(s)
+	}
+	return n
+}
+
 func (w *writer) u8(v byte) { w.buf = append(w.buf, v) }
 func (w *writer) u16(v int) {
 	var b [2]byte
@@ -210,7 +223,7 @@ type PeerReq struct {
 
 // Encode renders the payload.
 func (p *PeerReq) Encode() []byte {
-	var w writer
+	w := newWriter(2 + len(p.Onion) + 2 + 8 + 1)
 	w.str(p.Onion)
 	w.u16(p.Degree)
 	w.u64(p.ProofNonce)
@@ -245,7 +258,7 @@ type PeerAck struct {
 
 // Encode renders the payload.
 func (p *PeerAck) Encode() []byte {
-	var w writer
+	w := newWriter(1 + 2 + len(p.Onion) + 2 + 2 + strsLen(p.Neighbors) + 2 + len(p.Challenge) + 1)
 	if p.Accepted {
 		w.u8(1)
 	} else {
@@ -293,7 +306,7 @@ type NoNUpdate struct {
 
 // Encode renders the payload.
 func (p *NoNUpdate) Encode() []byte {
-	var w writer
+	w := newWriter(2 + len(p.Onion) + 2 + 2 + strsLen(p.Neighbors))
 	w.str(p.Onion)
 	w.u16(p.Degree)
 	w.u16(len(p.Neighbors))
@@ -329,7 +342,7 @@ type AddrChange struct {
 
 // Encode renders the payload.
 func (p *AddrChange) Encode() []byte {
-	var w writer
+	w := newWriter(2 + len(p.OldOnion) + 2 + len(p.NewOnion))
 	w.str(p.OldOnion)
 	w.str(p.NewOnion)
 	return w.buf
@@ -354,7 +367,7 @@ type Report struct {
 
 // Encode renders the payload.
 func (p *Report) Encode() []byte {
-	var w writer
+	w := newWriter(2 + len(p.Onion) + 2 + len(p.SealedKB))
 	w.str(p.Onion)
 	w.bytes(p.SealedKB)
 	return w.buf

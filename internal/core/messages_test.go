@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 	"time"
@@ -181,5 +182,36 @@ func TestRentedCommandEncodeAuthorize(t *testing.T) {
 	// Expired.
 	if err := decoded.Authorize(masterPub, now.Add(2*time.Hour), nil); err == nil {
 		t.Fatal("expired rental accepted")
+	}
+}
+
+func TestPayloadEncodeOneAllocation(t *testing.T) {
+	// Each payload encoder sizes its buffer once: the bytes match fixed
+	// vectors, fill the buffer exactly, and cost one allocation.
+	tests := []struct {
+		p    interface{ Encode() []byte }
+		want string
+	}{
+		{&PeerReq{Onion: "abcdefghijklmnop.onion", Degree: 7, ProofNonce: 0x0102030405060708, ProofBits: 12},
+			"00166162636465666768696a6b6c6d6e6f702e6f6e696f6e000701020304050607080c"},
+		{&PeerAck{Accepted: true, Onion: "peer.onion", Degree: 3, Neighbors: []string{"a.onion", "bb.onion"}, Challenge: []byte{9, 8, 7}, RequiredBits: 5},
+			"01000a706565722e6f6e696f6e000300020007612e6f6e696f6e000862622e6f6e696f6e000309080705"},
+		{&PeerAck{Onion: "x.onion"}, "000007782e6f6e696f6e00000000000000"},
+		{&NoNUpdate{Onion: "n.onion", Degree: 2, Neighbors: []string{"c.onion", "dd.onion"}},
+			"00076e2e6f6e696f6e000200020007632e6f6e696f6e000864642e6f6e696f6e"},
+		{&AddrChange{OldOnion: "old.onion", NewOnion: "new.onion"}, "00096f6c642e6f6e696f6e00096e65772e6f6e696f6e"},
+		{&Report{Onion: "r.onion", SealedKB: []byte{1, 2, 3, 4}}, "0007722e6f6e696f6e000401020304"},
+	}
+	for _, tt := range tests {
+		got := tt.p.Encode()
+		if hex.EncodeToString(got) != tt.want {
+			t.Errorf("%T.Encode() = %x, want %s", tt.p, got, tt.want)
+		}
+		if len(got) != cap(got) {
+			t.Errorf("%T.Encode() used %d of %d bytes", tt.p, len(got), cap(got))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { tt.p.Encode() }); allocs != 1 {
+			t.Errorf("%T.Encode() allocates %v times, want 1", tt.p, allocs)
+		}
 	}
 }

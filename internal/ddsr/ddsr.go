@@ -74,13 +74,12 @@ type Overlay struct {
 	cfg   Config
 	rng   *sim.RNG
 	stats Stats
-	// nbuf and nnbuf are reusable neighbor-list scratches for the
-	// prune/floor scans, which would otherwise allocate one (or, for NoN
-	// scans, k+1) slices per repair step. floor collects the nodes a
-	// repair or join must re-check against DMin.
-	nbuf  []int
-	nnbuf []int
-	floor []int
+	// floor collects the nodes a repair or join must re-check against
+	// DMin. enforceFloorAll drops its repeats by stamping mark[id] with
+	// markGen, so a new round is a generation bump, not a reset.
+	floor   []int
+	mark    []uint32
+	markGen uint32
 }
 
 var (
@@ -171,9 +170,23 @@ func (o *Overlay) repairNeighborhood(nbrs []int) {
 // enforceFloorAll runs enforceFloor once for each distinct node in
 // o.floor, in ascending id order.
 func (o *Overlay) enforceFloorAll() {
-	slices.Sort(o.floor)
-	o.floor = slices.Compact(o.floor)
+	o.markGen++
+	if o.markGen == 0 {
+		clear(o.mark)
+		o.markGen = 1
+	}
+	distinct := o.floor[:0]
 	for _, v := range o.floor {
+		if v >= len(o.mark) {
+			o.mark = append(o.mark, make([]uint32, v+1-len(o.mark))...)
+		}
+		if o.mark[v] != o.markGen {
+			o.mark[v] = o.markGen
+			distinct = append(distinct, v)
+		}
+	}
+	slices.Sort(distinct)
+	for _, v := range distinct {
 		o.enforceFloor(v)
 	}
 }
@@ -274,20 +287,18 @@ func (o *Overlay) Join(id int, peers []int) int {
 // highestDegreePeer returns the neighbor of v with the largest degree,
 // choosing uniformly at random among ties as the paper specifies.
 func (o *Overlay) highestDegreePeer(v int) int {
-	o.nbuf = o.g.AppendNeighbors(o.nbuf[:0], v)
-	nbrs := o.nbuf
 	best := -1
 	bestDeg := -1
 	count := 0
-	for _, w := range nbrs {
-		d := o.g.Degree(w)
+	for _, w := range o.g.Row(v) {
+		d := o.g.Degree(int(w))
 		switch {
 		case d > bestDeg:
-			best, bestDeg, count = w, d, 1
+			best, bestDeg, count = int(w), d, 1
 		case d == bestDeg:
 			count++
 			if o.rng.Intn(count) == 0 {
-				best = w
+				best = int(w)
 			}
 		}
 	}
@@ -321,10 +332,9 @@ func (o *Overlay) lowestDegreeNoN(v int) int {
 	best := -1
 	bestDeg := int(^uint(0) >> 1)
 	count := 0
-	o.nbuf = o.g.AppendNeighbors(o.nbuf[:0], v)
-	for _, u := range o.nbuf {
-		o.nnbuf = o.g.AppendNeighbors(o.nnbuf[:0], u)
-		for _, w := range o.nnbuf {
+	for _, u := range o.g.Row(v) {
+		for _, w32 := range o.g.Row(int(u)) {
+			w := int(w32)
 			if w == v || o.g.HasEdge(v, w) {
 				continue
 			}

@@ -95,14 +95,18 @@ func RunFig5(cfg Fig5Config) (components, degree, diameter *Result, err error) {
 		name string
 		m    ddsr.Maintainer
 	}
+	// Both variants start from the same regular graph: the baseline
+	// takes a deep copy of the overlay's graph, which is exactly what a
+	// second build on a fresh NewRNG(cfg.Seed) would produce.
 	rng := sim.NewRNG(cfg.Seed)
-	o, oerr := ddsr.NewRegular(cfg.N, cfg.K, ddsr.DefaultConfig(cfg.K), rng)
-	if oerr != nil {
-		return nil, nil, nil, oerr
+	g, err := graph.RandomRegular(cfg.N, cfg.K, rng)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	nrm, nerr := ddsr.NewNormalRegular(cfg.N, cfg.K, sim.NewRNG(cfg.Seed))
-	if nerr != nil {
-		return nil, nil, nil, nerr
+	nrm := ddsr.NewNormal(g.Clone())
+	o, err := ddsr.New(g, ddsr.DefaultConfig(cfg.K), rng)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	variants := []variant{{"DDSR", o}, {"Normal", nrm}}
 

@@ -10,11 +10,21 @@
 // measure, and repeat. Two exceptions to the snapshot rule keep hot
 // loops allocation-free: Graph.Connected answers "still one component?"
 // straight off the adjacency rows (the Fig 6 partition scan asks it
-// after every deletion batch), and AppendNeighbors is the scratch-buffer
-// form of Neighbors for per-step repair scans. All BFS helpers mark
-// visited nodes by stamping a reusable slice with the sweep's generation
-// number, so starting a sweep is a counter bump rather than a reset or
-// an allocation.
+// after every deletion batch), and Row hands out a node's neighbor row
+// itself for read-only scans (DDSR's prune and floor picks). All BFS
+// helpers mark visited nodes by stamping a reusable slice with the
+// sweep's generation number, so starting a sweep is a counter bump
+// rather than a reset or an allocation. The distance BFS behind
+// closeness and diameter walks one level at a time and stamps each node
+// with its level, so it keeps no distance array, and it expands each
+// level top-down or bottom-up, whichever checks fewer edges.
+//
+// AddEdgesAmong, the clique insertion of DDSR repair, sorts its members
+// once and merges them into each member's row in one back-to-front
+// pass, so a d-clique costs O(d + row) per row. Every scratch slice
+// belongs to the Graph or snapshot that uses it; the package keeps no
+// state of its own, so concurrent experiments on distinct graphs never
+// share anything.
 //
 // Storage: Graph keeps one sorted []int32 neighbor row per node id plus
 // a presence bitmap, so ids must be non-negative (AddNode panics

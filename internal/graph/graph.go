@@ -24,6 +24,8 @@ type Graph struct {
 	visit    []uint32
 	visitGen uint32
 	queue    []int32
+	// among is AddEdgesAmong's sorted, deduplicated member list.
+	among []int32
 }
 
 // New returns an empty graph.
@@ -38,14 +40,6 @@ func (g *Graph) NumEdges() int { return g.edges }
 // HasNode reports whether id is present.
 func (g *Graph) HasNode(id int) bool {
 	return uint(id) < uint(len(g.rows)) && g.present[id>>6]&(1<<(id&63)) != 0
-}
-
-// row returns id's neighbor row, or nil for an id outside the id space.
-func (g *Graph) row(id int) []int32 {
-	if uint(id) < uint(len(g.rows)) {
-		return g.rows[id]
-	}
-	return nil
 }
 
 // AddNode inserts an isolated node. Adding an existing node is a no-op.
@@ -121,23 +115,76 @@ func (g *Graph) AddEdge(u, v int) bool {
 
 // AddEdgesAmong links every pair of the given nodes (clique insertion),
 // returning the number of edges created. It is the hot path of DDSR
-// repair. Nodes must already exist; absent ids are ignored.
+// repair. Nodes must already exist; absent and repeated ids are
+// ignored. The members are sorted once into the graph's scratch, and
+// each member's row takes them in one back-to-front merge, so a
+// d-clique costs O(d + row) per row rather than d bisect-and-shifts.
 func (g *Graph) AddEdgesAmong(nodes []int) int {
-	added := 0
-	for i, u := range nodes {
-		for _, v := range nodes[i+1:] {
-			if u != v && g.HasNode(u) && g.HasNode(v) && g.link(u, v) {
-				added++
-			}
+	set := g.among[:0]
+	for _, u := range nodes {
+		if g.HasNode(u) {
+			set = append(set, int32(u))
 		}
 	}
-	return added
+	slices.Sort(set)
+	set = slices.Compact(set)
+	g.among = set
+	half := 0
+	for _, u := range set {
+		half += g.mergeRow(int(u), set)
+	}
+	g.edges += half / 2
+	return half / 2
+}
+
+// mergeRow merges the sorted set, minus u itself, into u's sorted row
+// and returns how many entries were new. The row grows once and is
+// filled from the back, so no entry moves more than once.
+func (g *Graph) mergeRow(u int, set []int32) int {
+	row := g.rows[u]
+	self := int32(u)
+	// fresh = |set| - 1 (u itself) - |row ∩ set|; the intersection count
+	// steps both cursors without branching on the comparison.
+	common := 0
+	for i, j := 0, 0; i < len(row) && j < len(set); {
+		a, b := row[i], set[j]
+		if a <= b {
+			i++
+		}
+		if b <= a {
+			j++
+		}
+		if a == b {
+			common++
+		}
+	}
+	fresh := len(set) - 1 - common
+	if fresh == 0 {
+		return 0
+	}
+	i := len(row) - 1
+	row = slices.Grow(row, fresh)[:len(row)+fresh]
+	k := len(row) - 1
+	for j := len(set) - 1; j >= 0; j-- {
+		v := set[j]
+		for i >= 0 && row[i] > v {
+			row[k] = row[i]
+			i, k = i-1, k-1
+		}
+		if v == self || (i >= 0 && row[i] == v) {
+			continue
+		}
+		row[k] = v
+		k--
+	}
+	g.rows[u] = row
+	return fresh
 }
 
 // RemoveEdge deletes the undirected edge (u, v) and reports whether it
 // existed.
 func (g *Graph) RemoveEdge(u, v int) bool {
-	i, found := slices.BinarySearch(g.row(u), int32(v))
+	i, found := slices.BinarySearch(g.Row(u), int32(v))
 	if !found || !g.HasNode(v) {
 		return false
 	}
@@ -149,29 +196,32 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 
 // HasEdge reports whether the undirected edge (u, v) exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	_, found := slices.BinarySearch(g.row(u), int32(v))
+	_, found := slices.BinarySearch(g.Row(u), int32(v))
 	return found && g.HasNode(v)
 }
 
 // Degree reports the degree of id (0 for an absent node).
-func (g *Graph) Degree(id int) int { return len(g.row(id)) }
+func (g *Graph) Degree(id int) int { return len(g.Row(id)) }
 
 // Neighbors returns the sorted neighbors of id.
-func (g *Graph) Neighbors(id int) []int { return g.AppendNeighbors(nil, id) }
+func (g *Graph) Neighbors(id int) []int {
+	row := g.Row(id)
+	out := make([]int, len(row))
+	for i, v := range row {
+		out[i] = int(v)
+	}
+	return out
+}
 
-// AppendNeighbors appends the sorted neighbors of id to buf and returns
-// the extended slice — the allocation-free form of Neighbors for hot
-// loops that pass a reused scratch buffer (DDSR repair calls this per
-// prune/floor step).
-func (g *Graph) AppendNeighbors(buf []int, id int) []int {
-	row := g.row(id)
-	if buf == nil {
-		buf = make([]int, 0, len(row))
+// Row returns id's sorted neighbor row itself, not a copy (nil for an
+// absent id): the allocation-free form of Neighbors for scans that do
+// not mutate the graph while they read, like DDSR's prune and floor
+// picks. The row is read-only and valid until the next mutation.
+func (g *Graph) Row(id int) []int32 {
+	if uint(id) < uint(len(g.rows)) {
+		return g.rows[id]
 	}
-	for _, v := range row {
-		buf = append(buf, int(v))
-	}
-	return buf
+	return nil
 }
 
 // Nodes returns all node ids, sorted.
@@ -239,8 +289,9 @@ func (g *Graph) Connected() bool {
 	return len(g.queue) == g.nodes
 }
 
-// Clone returns a deep copy (without the Connected scratch, which the
-// copy rebuilds on first use).
+// Clone returns a deep copy that shares no row with g. It takes none of
+// g's scratch (Connected's, AddEdgesAmong's); the copy grows its own on
+// first use.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{rows: make([][]int32, len(g.rows)), present: slices.Clone(g.present),
 		nodes: g.nodes, edges: g.edges}

@@ -365,55 +365,95 @@ func assertSameGraph(t *testing.T, step string, g *Graph, ref refGraph, span int
 func TestGraphMatchesReference(t *testing.T) {
 	// Differential test: random mutation sequences drive Graph and the
 	// map-of-maps reference in lockstep; every query must agree after
-	// every step.
-	const span, steps = 40, 300
-	for seed := uint64(1); seed <= 6; seed++ {
-		rng := sim.NewRNG(seed)
-		g, ref := New(), refGraph{}
-		for i := 0; i < steps; i++ {
-			u, v := rng.Intn(span), rng.Intn(span)
-			var step string
-			switch op := rng.Intn(10); {
-			case op == 0:
-				step = fmt.Sprintf("AddNode(%d)", u)
+	// every step. Clique members repeat and include absent ids (never
+	// added, or negative). The "wide" shape's cliques grow rows past 100
+	// entries, the no-pruning Fig 4 shape, so AddEdgesAmong merges into
+	// long rows as well as short ones.
+	shapes := []struct {
+		name             string
+		span, steps      int
+		clique, minPeakD int
+	}{
+		{"narrow", 40, 300, 8, 0},
+		{"wide", 160, 80, 130, 100},
+	}
+	for _, sh := range shapes {
+		for seed := uint64(1); seed <= 6; seed++ {
+			runReferenceShape(t, sh.name, sh.span, sh.steps, sh.clique, sh.minPeakD, seed)
+		}
+	}
+}
+
+func runReferenceShape(t *testing.T, shape string, span, steps, clique, minPeakD int, seed uint64) {
+	t.Helper()
+	rng := sim.NewRNG(seed)
+	g, ref := New(), refGraph{}
+	if minPeakD > 0 {
+		// Start most ids present so that cliques are dense enough to
+		// reach the wanted row length.
+		for u := 0; u < span; u++ {
+			if rng.Intn(10) != 0 {
 				g.AddNode(u)
 				ref.addNode(u)
-			case op < 4:
-				step = fmt.Sprintf("AddEdge(%d,%d)", u, v)
-				if got, want := g.AddEdge(u, v), ref.addEdge(u, v); got != want {
-					t.Fatalf("seed %d: %s = %v, reference %v", seed, step, got, want)
-				}
-			case op < 6:
-				nodes := make([]int, rng.Intn(8)) // repeats allowed
-				for j := range nodes {
-					nodes[j] = rng.Intn(span)
-				}
-				step = fmt.Sprintf("AddEdgesAmong(%v)", nodes)
-				if got, want := g.AddEdgesAmong(nodes), ref.addEdgesAmong(nodes); got != want {
-					t.Fatalf("seed %d: %s = %d, reference %d", seed, step, got, want)
-				}
-			case op < 8:
-				step = fmt.Sprintf("RemoveEdge(%d,%d)", u, v)
-				if got, want := g.RemoveEdge(u, v), ref.removeEdge(u, v); got != want {
-					t.Fatalf("seed %d: %s = %v, reference %v", seed, step, got, want)
-				}
-			default:
-				step = fmt.Sprintf("RemoveNode(%d)", u)
-				if got, want := g.RemoveNode(u), ref.removeNode(u); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: %s = %#v, reference %#v", seed, step, got, want)
+			}
+		}
+	}
+	peak := 0
+	for i := 0; i < steps; i++ {
+		u, v := rng.Intn(span), rng.Intn(span)
+		var step string
+		switch op := rng.Intn(10); {
+		case op == 0:
+			step = fmt.Sprintf("AddNode(%d)", u)
+			g.AddNode(u)
+			ref.addNode(u)
+		case op < 4:
+			step = fmt.Sprintf("AddEdge(%d,%d)", u, v)
+			if got, want := g.AddEdge(u, v), ref.addEdge(u, v); got != want {
+				t.Fatalf("%s seed %d: %s = %v, reference %v", shape, seed, step, got, want)
+			}
+		case op < 6:
+			nodes := make([]int, rng.Intn(clique))
+			for j := range nodes {
+				switch rng.Intn(20) {
+				case 0:
+					nodes[j] = span + rng.Intn(5) // never added
+				case 1:
+					nodes[j] = -1 - rng.Intn(3)
+				default:
+					nodes[j] = rng.Intn(span) // repeats allowed
 				}
 			}
-			assertSameGraph(t, fmt.Sprintf("seed %d step %d %s", seed, i, step), g, ref, span)
+			step = fmt.Sprintf("AddEdgesAmong(%v)", nodes)
+			if got, want := g.AddEdgesAmong(nodes), ref.addEdgesAmong(nodes); got != want {
+				t.Fatalf("%s seed %d: %s = %d, reference %d", shape, seed, step, got, want)
+			}
+		case op < 8:
+			step = fmt.Sprintf("RemoveEdge(%d,%d)", u, v)
+			if got, want := g.RemoveEdge(u, v), ref.removeEdge(u, v); got != want {
+				t.Fatalf("%s seed %d: %s = %v, reference %v", shape, seed, step, got, want)
+			}
+		default:
+			step = fmt.Sprintf("RemoveNode(%d)", u)
+			if got, want := g.RemoveNode(u), ref.removeNode(u); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: %s = %#v, reference %#v", shape, seed, step, got, want)
+			}
 		}
-		if got, want := g.Snapshot().Components(), ref.components(); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: Snapshot().Components() = %v, reference %v", seed, got, want)
-		}
-		c := g.Clone()
-		assertSameGraph(t, fmt.Sprintf("seed %d clone", seed), c, ref, span)
-		for u := 0; u < span; u += 3 {
-			c.RemoveNode(u)
-			c.AddEdge(u+1, u+2)
-		}
-		assertSameGraph(t, fmt.Sprintf("seed %d original after clone mutation", seed), g, ref, span)
+		assertSameGraph(t, fmt.Sprintf("%s seed %d step %d %s", shape, seed, i, step), g, ref, span)
+		peak = max(peak, g.MaxDegree())
 	}
+	if peak < minPeakD {
+		t.Fatalf("%s seed %d: largest row reached %d entries, want at least %d", shape, seed, peak, minPeakD)
+	}
+	if got, want := g.Snapshot().Components(), ref.components(); !slices.Equal(got, want) {
+		t.Fatalf("%s seed %d: Snapshot().Components() = %v, reference %v", shape, seed, got, want)
+	}
+	c := g.Clone()
+	assertSameGraph(t, fmt.Sprintf("%s seed %d clone", shape, seed), c, ref, span)
+	for u := 0; u < span; u += 3 {
+		c.RemoveNode(u)
+		c.AddEdge(u+1, u+2)
+		c.AddEdgesAmong([]int{u + 1, u + 4, u + 7})
+	}
+	assertSameGraph(t, fmt.Sprintf("%s seed %d original after clone mutation", shape, seed), g, ref, span)
 }

@@ -1,5 +1,7 @@
 package graph
 
+import "math"
+
 // Indexed is an immutable compressed-adjacency snapshot of a Graph with
 // dense ids 0..N-1. Metrics run against snapshots: every row sits in one
 // contiguous array, and BFS bookkeeping is sized by the population
@@ -43,66 +45,99 @@ func (ix *Indexed) Degree(i int) int { return int(ix.off[i+1] - ix.off[i]) }
 
 // bfsScratch holds reusable BFS buffers so that metric loops allocate
 // once per snapshot rather than once per source. Visited bookkeeping is
-// index-stamped: stamp[i] == gen marks node i as reached by the current
-// sweep, so starting a new BFS is a generation bump instead of an O(n)
-// slice reset (and instead of the per-sweep map or []bool allocations
-// the seed helpers paid).
+// index-stamped: a sweep owns the stamps from gen up, node i counts as
+// visited iff stamp[i] >= gen, and bfs stamps a node with gen plus its
+// distance. Starting a new sweep moves gen past every stamp written so
+// far, which is a counter bump instead of an O(n) slice reset (and
+// instead of the per-sweep map or []bool allocations the seed helpers
+// paid).
 type bfsScratch struct {
-	dist  []int32
 	stamp []uint32
-	gen   uint32
+	gen   uint32 // the current sweep's level-0 stamp
+	top   uint32 // the highest stamp written by any sweep
 	queue []int32
 }
 
 func (ix *Indexed) newScratch() *bfsScratch {
 	return &bfsScratch{
-		dist:  make([]int32, ix.N()),
 		stamp: make([]uint32, ix.N()),
 		queue: make([]int32, 0, ix.N()),
 	}
 }
 
-// next advances the scratch to a fresh generation, handling the (in
-// practice unreachable) uint32 wraparound with one full reset.
+// next starts a fresh sweep, with room for a stamp per BFS level. It
+// resets the stamps once when the uint32 range runs out.
 func (sc *bfsScratch) next() {
-	sc.gen++
-	if sc.gen == 0 {
+	if sc.top > math.MaxUint32-uint32(len(sc.stamp))-1 {
 		clear(sc.stamp)
-		sc.gen = 1
+		sc.top = 0
 	}
+	sc.gen = sc.top + 1
+	sc.top = sc.gen
 	sc.queue = sc.queue[:0]
 }
 
-// seen reports whether i was visited in the current generation.
-func (sc *bfsScratch) seen(i int32) bool { return sc.stamp[i] == sc.gen }
+// seen reports whether i was visited in the current sweep.
+func (sc *bfsScratch) seen(i int32) bool { return sc.stamp[i] >= sc.gen }
 
-// visit marks i visited in the current generation.
+// visit marks i visited in the current sweep.
 func (sc *bfsScratch) visit(i int32) { sc.stamp[i] = sc.gen }
 
 // bfs runs a breadth-first search from src and returns (sum of distances
-// to reached nodes, number of reached nodes including src, eccentricity).
-// Callers reading sc.dist afterwards must gate each entry on sc.seen.
-func (ix *Indexed) bfs(src int32, sc *bfsScratch) (sum int64, reached int, ecc int32) {
+// to reached nodes, number of reached nodes including src, eccentricity,
+// start of the last level in sc.queue). It walks the queue one level at
+// a time, so no per-node distance is stored: the level's depth times
+// its size is its share of the sum, and sc.queue[last:] holds exactly
+// the nodes at distance ecc, in no particular order.
+//
+// Each level is expanded in whichever direction checks fewer edges
+// (Beamer et al., SC 2012). Top-down checks every edge of the nf
+// frontier nodes, about avgDeg·nf. Bottom-up stops at each of the nu
+// unvisited nodes' first neighbour in the frontier; a neighbour of an
+// unvisited node is frontier or unvisited, so that takes about
+// (nf+nu)/nf checks per node. On the paper's regular graphs the middle
+// levels go bottom-up, and on the near-complete graphs of Fig 4
+// without pruning every level after the first does.
+func (ix *Indexed) bfs(src int32, sc *bfsScratch) (sum int64, reached int, ecc int32, last int) {
+	n := ix.N()
+	avgDeg := int64(len(ix.nbr)) / int64(max(n, 1))
 	sc.next()
-	sc.dist[src] = 0
 	sc.visit(src)
 	sc.queue = append(sc.queue, src)
-	reached = 1
-	for head := 0; head < len(sc.queue); head++ {
-		u := sc.queue[head]
-		du := sc.dist[u]
-		if du > ecc {
-			ecc = du
-		}
-		sum += int64(du)
-		for _, v := range ix.nbr[ix.off[u]:ix.off[u+1]] {
-			if !sc.seen(v) {
-				sc.visit(v)
-				sc.dist[v] = du + 1
-				sc.queue = append(sc.queue, v)
-				reached++
+	for head := 0; ; ecc++ {
+		last = head
+		end := len(sc.queue)
+		sum += int64(ecc) * int64(end-head)
+		level := sc.gen + uint32(ecc)
+		nf, nu := int64(end-head), int64(n-end)
+		if nu*(nf+nu) < avgDeg*nf*nf {
+			for v := range int32(n) {
+				if sc.stamp[v] >= sc.gen {
+					continue
+				}
+				for _, u := range ix.nbr[ix.off[v]:ix.off[v+1]] {
+					if sc.stamp[u] == level {
+						sc.stamp[v] = level + 1
+						sc.queue = append(sc.queue, v)
+						break
+					}
+				}
+			}
+			head = end
+		} else {
+			for ; head < end; head++ {
+				u := sc.queue[head]
+				for _, v := range ix.nbr[ix.off[u]:ix.off[u+1]] {
+					if sc.stamp[v] < sc.gen {
+						sc.stamp[v] = level + 1
+						sc.queue = append(sc.queue, v)
+					}
+				}
 			}
 		}
+		if len(sc.queue) == end {
+			sc.top = level
+			return sum, end, ecc, last
+		}
 	}
-	return sum, reached, ecc
 }

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+
 	"onionbots/internal/sim"
 )
 
@@ -56,8 +58,7 @@ func (ix *Indexed) Connected() bool {
 	if ix.N() <= 1 {
 		return true
 	}
-	sc := ix.newScratch()
-	_, reached, _ := ix.bfs(0, sc)
+	_, reached, _, _ := ix.bfs(0, ix.newScratch())
 	return reached == ix.N()
 }
 
@@ -106,7 +107,7 @@ func (ix *Indexed) AvgCloseness(sample int, rng *sim.RNG) float64 {
 	sc := ix.newScratch()
 	total := 0.0
 	for _, src := range sources {
-		sum, reached, _ := ix.bfs(src, sc)
+		sum, reached, _, _ := ix.bfs(src, sc)
 		if reached < 2 || sum == 0 {
 			continue // isolated node contributes 0
 		}
@@ -136,7 +137,7 @@ func (ix *Indexed) Diameter() (diam int, connected bool) {
 	members := largestComponentMembers(ix, sc)
 	var max int32
 	for _, s := range members {
-		_, _, ecc := ix.bfs(s, sc)
+		_, _, ecc, _ := ix.bfs(s, sc)
 		if ecc > max {
 			max = ecc
 		}
@@ -167,29 +168,20 @@ func (ix *Indexed) DiameterApprox(sweeps int, rng *sim.RNG) (diam int, connected
 		rng = sim.NewRNG(0)
 	}
 	sc := ix.newScratch()
-	_, reached, _ := ix.bfs(0, sc)
-	connected = reached == n
-
-	// Identify the largest component so sweeps start inside it.
+	// Sweeps start inside the largest component, and the graph is
+	// connected iff that component holds every node.
 	members := largestComponentMembers(ix, sc)
 	var best int32
 	for s := 0; s < sweeps; s++ {
 		src := members[rng.Intn(len(members))]
-		_, _, _ = ix.bfs(src, sc)
-		// Farthest node from src: scan dist ascending by index, gated on
-		// the visit stamp (unstamped entries hold stale generations).
-		far, fd := src, int32(0)
-		for i, d := range sc.dist {
-			if sc.stamp[i] == sc.gen && d > fd {
-				far, fd = int32(i), d
-			}
-		}
-		_, _, ecc := ix.bfs(far, sc)
-		if ecc > best {
-			best = ecc
-		}
+		// The far node is the lowest index at the greatest distance
+		// from src: the minimum of the last BFS level.
+		_, _, _, last := ix.bfs(src, sc)
+		far := slices.Min(sc.queue[last:])
+		_, _, ecc, _ := ix.bfs(far, sc)
+		best = max(best, ecc)
 	}
-	return int(best), connected
+	return int(best), len(members) == n
 }
 
 // largestComponentMembers runs the shared largest-component scan: one
