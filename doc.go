@@ -11,7 +11,7 @@
 // the simulator design and the determinism contract, and bench_test.go
 // for the per-figure regeneration harness.
 //
-// The implementation lives under internal/; cmd/onionsim, cmd/soapctl
-// and cmd/ddsrviz are the entry points, and examples/ holds runnable
+// The implementation lives under internal/; cmd/onionsim and
+// cmd/soapctl are the entry points, and examples/ holds runnable
 // walkthroughs.
 package onionbots

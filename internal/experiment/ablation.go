@@ -12,6 +12,7 @@ func init() {
 	Register(Definition{
 		ID:    "ablation",
 		Title: "DDSR maintenance-policy ablation under gradual takedown",
+		Reads: AxisN | AxisK,
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultAblationConfig(p.Quick)
 			cfg.Seed = p.Seed

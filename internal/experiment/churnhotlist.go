@@ -13,6 +13,7 @@ func init() {
 	Register(Definition{
 		ID:    "churn-hotlist",
 		Title: "C&C hotlist staleness under diurnal churn (Section IV-C dynamics)",
+		Reads: AxisN | AxisK | AxisChurn,
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultChurnHotlistConfig(p.Quick)
 			cfg.Seed = p.Seed

@@ -14,6 +14,7 @@ func init() {
 	Register(Definition{
 		ID:    "churn-repair",
 		Title: "DDSR repair quality under continuous churn (dynamic Figs 5/6)",
+		Reads: AxisN | AxisK | AxisChurn,
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultChurnRepairConfig(p.Quick)
 			cfg.Seed = p.Seed

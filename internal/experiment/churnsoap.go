@@ -14,6 +14,7 @@ func init() {
 	Register(Definition{
 		ID:    "churn-soap",
 		Title: "SOAP containment vs a churning population (Section VII-A × IV-C dynamics)",
+		Reads: AxisN | AxisK | AxisChurn | AxisSoap,
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultChurnSoapConfig(p.Quick)
 			cfg.Seed = p.Seed

@@ -3,6 +3,7 @@ package experiment
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -46,4 +47,48 @@ func TestReadmeReproductionTableCoversRegistry(t *testing.T) {
 			t.Errorf("README reproduction table misses experiment %q", id)
 		}
 	}
+}
+
+// TestHandbookParamsHonoredMatchesReads holds each catalogue entry's
+// "Params honored" line to the axes its Definition declares: the axis
+// names it quotes must be exactly Reads, so the handbook cannot
+// promise an axis the sweep parser would reject, or hide one it
+// accepts.
+func TestHandbookParamsHonoredMatchesReads(t *testing.T) {
+	handbook := readRepoDoc(t, "docs", "EXPERIMENTS.md")
+	quoted := regexp.MustCompile("`([^`]+)`")
+	for _, id := range IDs() {
+		def, _ := Lookup(id)
+		_, section, ok := strings.Cut(handbook, "### `"+id+"`")
+		if !ok {
+			t.Errorf("no catalogue section for %q", id)
+			continue
+		}
+		section, _, _ = strings.Cut(section, "\n#")
+		_, line, ok := strings.Cut(section, "**Params honored:**")
+		if !ok {
+			t.Errorf("%s: no Params honored line", id)
+			continue
+		}
+		line, _, _ = strings.Cut(line, "\n- **")
+		var documented Axis
+		for _, m := range quoted.FindAllStringSubmatch(line, -1) {
+			if a := axisNamed(m[1]); a != nil && a.id&replicaAxes == 0 {
+				documented |= a.id
+			}
+		}
+		if documented != def.Reads {
+			t.Errorf("%s: Params honored names axes %s, Reads declares %s", id, axisNames(documented), axisNames(def.Reads))
+		}
+	}
+}
+
+func axisNames(set Axis) []string {
+	var out []string
+	for _, a := range axes {
+		if set&a.id != 0 {
+			out = append(out, a.name)
+		}
+	}
+	return out
 }

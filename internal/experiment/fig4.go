@@ -13,6 +13,7 @@ func init() {
 	Register(Definition{
 		ID:    "fig4",
 		Title: "Centrality under gradual takedown, with/without pruning (Figs 4a-4d)",
+		Reads: AxisN | AxisK | AxisFrac,
 		Run: func(p Params) ([]*Result, error) {
 			var out []*Result
 			for _, pruning := range []bool{false, true} {

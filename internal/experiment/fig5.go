@@ -12,6 +12,7 @@ func init() {
 	Register(Definition{
 		ID:    "fig5",
 		Title: "DDSR vs normal graph resilience under takedown (Figs 5a-5f)",
+		Reads: AxisN | AxisK,
 		Run: func(p Params) ([]*Result, error) {
 			sizes := []int{5000, 15000}
 			switch {

@@ -12,6 +12,7 @@ func init() {
 	Register(Definition{
 		ID:    "fig6",
 		Title: "First-partition threshold vs graph size (Fig 6)",
+		Reads: AxisN | AxisK,
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultFig6Config(p.Quick)
 			cfg.Seed = p.Seed

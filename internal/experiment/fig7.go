@@ -12,6 +12,7 @@ func init() {
 	Register(Definition{
 		ID:    "fig7",
 		Title: "SOAP containment campaign against basic OnionBots (Fig 7)",
+		Reads: AxisN,
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultFig7Config(p.Quick)
 			cfg.Seed = p.Seed

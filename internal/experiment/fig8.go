@@ -13,6 +13,7 @@ func init() {
 	Register(Definition{
 		ID:    "fig8",
 		Title: "SuperOnion fleet vs basic botnet under SOAP (Fig 8)",
+		Reads: AxisN,
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultFig8Config(p.Quick)
 			cfg.Seed = p.Seed

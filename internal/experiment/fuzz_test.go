@@ -15,6 +15,7 @@ func FuzzParseSweep(f *testing.F) {
 	f.Add([]byte(`{"experiments": ["churn-hotlist"], "quick": true, "seeds": [1, 2]}`))
 	f.Add([]byte(`{"experiments": ["fig4"], "fracs": [0.1, 0.2], "trials": 2}`))
 	f.Add([]byte(`{"experiments": ["fig6"], "thresholds": [{"series": "reach", "stat": "last", "axis": "n", "below": 0.5}]}`))
+	f.Add([]byte(`{"experiments":["fig6"],"ns":[800,800]}`))
 	f.Add([]byte(`{"experiments": []}`))
 	f.Add([]byte(`{"experiments": ["fig6"]} {"seeds": "x"} trailing garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {

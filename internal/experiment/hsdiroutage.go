@@ -14,6 +14,7 @@ func init() {
 	Register(Definition{
 		ID:    "hsdir-outage",
 		Title: "C&C reachability through a correlated HSDir outage (fault plane vs retry budget)",
+		Reads: AxisN | AxisFaults,
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultHSDirOutageConfig(p.Quick)
 			cfg.Seed = p.Seed

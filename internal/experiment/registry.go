@@ -11,9 +11,10 @@ import (
 
 // Params is the generic parameter set an experiment task receives. The
 // runner and the sweep engine only speak Params; each registered
-// experiment maps the axes onto whichever knobs its own config has and
-// ignores the rest (fig3 is a fixed walkthrough, table1 is an audit, so
-// both ignore everything but Quick).
+// experiment maps the axes onto whichever knobs its own config has,
+// declares those axes in Definition.Reads, and ignores the rest (fig3
+// is a fixed walkthrough, table1 is an audit, so both ignore
+// everything).
 type Params struct {
 	// Quick selects the scaled-down preset instead of the paper's full
 	// parameters.
@@ -52,9 +53,15 @@ type Params struct {
 // The single sanctioned exception is full-mode probing, which exists to
 // measure this machine's key-generation rate and labels its output as
 // measured; with Quick set, every experiment is wall-clock-free.
+//
+// Reads declares the override axes Run honors (AxisN | AxisK, ...);
+// seeds and trials are honored by every experiment. A sweep that varies
+// an axis none of its experiments reads is rejected at parse time
+// rather than expanding into tasks that ignore it.
 type Definition struct {
 	ID    string
 	Title string
+	Reads Axis
 	Run   func(p Params) ([]*Result, error)
 }
 

@@ -15,6 +15,7 @@ func init() {
 	Register(Definition{
 		ID:    "relay-outage",
 		Title: "NoN quality and C&C reachability under relay crash/restart faults",
+		Reads: AxisN | AxisChurn | AxisFaults,
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultRelayOutageConfig(p.Quick)
 			cfg.Seed = p.Seed

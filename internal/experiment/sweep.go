@@ -14,10 +14,10 @@ import (
 // Sweep is a scenario-sweep specification: one or more registered
 // experiments crossed with parameter grids. The zero value of every
 // axis means "keep the experiment's preset"; listing values fans the
-// experiment out over them. A sweep with E experiments, |ns| sizes,
-// |ks| degrees, |fracs| fractions, |seeds| seeds and T trials expands
-// to E*|ns|*|ks|*|fracs|*|seeds|*T tasks, each with its own RNG
-// substream derived from (seed, task label).
+// experiment out over them. A sweep expands to one task per
+// combination of experiment and listed axis values (see the axes
+// table), each with its own RNG substream derived from (seed, task
+// label).
 //
 // Sweeps are written as JSON files (see examples/sweep):
 //
@@ -35,7 +35,8 @@ type Sweep struct {
 	Experiments []string `json:"experiments"`
 	// Quick selects the scaled-down presets for every task.
 	Quick bool `json:"quick,omitempty"`
-	// Ns, Ks, Fracs and Seeds are the grid axes (empty = preset).
+	// Ns, Ks, Fracs and Seeds are the static grid axes (empty =
+	// preset; unset seeds run seed 1).
 	Ns    []int     `json:"ns,omitempty"`
 	Ks    []int     `json:"ks,omitempty"`
 	Fracs []float64 `json:"fracs,omitempty"`
@@ -66,7 +67,9 @@ type Sweep struct {
 
 // ParseSweep decodes and validates a JSON sweep spec. Unknown fields
 // are rejected so a typo ("seed" for "seeds") cannot silently collapse
-// a grid axis.
+// a grid axis; so are unknown experiments, axis values out of range or
+// listed twice, and an axis varied although none of the experiments
+// reads it (see Definition.Reads).
 func ParseSweep(data []byte) (*Sweep, error) {
 	var s Sweep
 	if err := jsonx.DecodeStrict(data, &s); err != nil {
@@ -78,37 +81,18 @@ func ParseSweep(data []byte) (*Sweep, error) {
 	if s.Trials < 0 {
 		return nil, fmt.Errorf("parse sweep: negative trials %d", s.Trials)
 	}
-	seen := make(map[string]struct{}, len(s.Churn))
-	for i, spec := range s.Churn {
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("parse sweep: churn[%d]: %w", i, err)
+	var reads Axis
+	for _, id := range s.Experiments {
+		def, ok := Lookup(id)
+		if !ok {
+			return nil, fmt.Errorf("parse sweep: unknown experiment %q", id)
 		}
-		// Distinct specs must produce distinct labels: the label is the
-		// task's (and substream's) identity on this axis.
-		if _, dup := seen[spec.Label()]; dup {
-			return nil, fmt.Errorf("parse sweep: duplicate churn spec %q", spec.Label())
-		}
-		seen[spec.Label()] = struct{}{}
+		reads |= def.Reads
 	}
-	seenSoap := make(map[string]struct{}, len(s.Soap))
-	for i, spec := range s.Soap {
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("parse sweep: soap[%d]: %w", i, err)
+	for i := range axes {
+		if err := axes[i].validate(&s, reads); err != nil {
+			return nil, fmt.Errorf("parse sweep: %w", err)
 		}
-		if _, dup := seenSoap[spec.Label()]; dup {
-			return nil, fmt.Errorf("parse sweep: duplicate soap spec %q", spec.Label())
-		}
-		seenSoap[spec.Label()] = struct{}{}
-	}
-	seenFaults := make(map[string]struct{}, len(s.Faults))
-	for i, spec := range s.Faults {
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("parse sweep: faults[%d]: %w", i, err)
-		}
-		if _, dup := seenFaults[spec.Label()]; dup {
-			return nil, fmt.Errorf("parse sweep: duplicate faults spec %q", spec.Label())
-		}
-		seenFaults[spec.Label()] = struct{}{}
 	}
 	for i, th := range s.Thresholds {
 		if err := th.validate(&s); err != nil {
@@ -135,137 +119,54 @@ func LoadSweep(path string) (*Sweep, error) {
 }
 
 // Tasks expands the sweep into its full task grid, in deterministic
-// order (experiments × ns × ks × fracs × churn × soap × faults ×
-// seeds × trials). Every experiment ID is checked against the registry
-// up front so a bad spec fails before any work starts.
+// order: experiments, then one odometer over the axes table (n × k ×
+// frac × churn × soap × faults × seed × trial, the last fastest). Every
+// experiment ID is checked against the registry up front so a bad spec
+// fails before any work starts.
 func (s *Sweep) Tasks() ([]Task, error) {
 	for _, id := range s.Experiments {
 		if _, ok := Lookup(id); !ok {
 			return nil, fmt.Errorf("sweep %s: unknown experiment %q", s.Name, id)
 		}
 	}
-	ns, nSet := axisInts(s.Ns)
-	ks, kSet := axisInts(s.Ks)
-	fracs, fracSet := axisFloats(s.Fracs)
-	churns, churnSet := axisChurn(s.Churn)
-	soaps, soapSet := axisSoap(s.Soap)
-	faultSpecs, faultsSet := axisFaults(s.Faults)
-	seeds, seedSet := axisSeeds(s.Seeds)
-	trials := s.Trials
-	if trials < 1 {
-		trials = 1
+	var labels [len(axes)][]string
+	total := len(s.Experiments)
+	for i := range axes {
+		labels[i] = axes[i].labels(s)
+		total *= max(1, len(labels[i]))
 	}
-
-	var tasks []Task
+	tasks := make([]Task, 0, total)
+	var buf []byte
 	for _, id := range s.Experiments {
-		for _, n := range ns {
-			for _, k := range ks {
-				for _, frac := range fracs {
-					for ci := range churns {
-						for si := range soaps {
-							for fi := range faultSpecs {
-								for _, seed := range seeds {
-									for trial := 0; trial < trials; trial++ {
-										var label strings.Builder
-										label.WriteString(id)
-										if nSet {
-											fmt.Fprintf(&label, "/n=%d", n)
-										}
-										if kSet {
-											fmt.Fprintf(&label, "/k=%d", k)
-										}
-										if fracSet {
-											fmt.Fprintf(&label, "/frac=%g", frac)
-										}
-										var cspec *churn.Spec
-										if churnSet {
-											cspec = &churns[ci]
-											fmt.Fprintf(&label, "/churn=%s", cspec.Label())
-										}
-										var sspec *soap.Spec
-										if soapSet {
-											sspec = &soaps[si]
-											fmt.Fprintf(&label, "/soap=%s", sspec.Label())
-										}
-										var fspec *churn.FaultSpec
-										if faultsSet {
-											fspec = &faultSpecs[fi]
-											fmt.Fprintf(&label, "/faults=%s", fspec.Label())
-										}
-										if seedSet {
-											fmt.Fprintf(&label, "/seed=%d", seed)
-										}
-										if s.Trials > 1 {
-											fmt.Fprintf(&label, "/trial=%d", trial)
-										}
-										tasks = append(tasks, Task{
-											Label:      label.String(),
-											Experiment: id,
-											Params: Params{
-												Quick: s.Quick, Seed: seed,
-												N: n, K: k, Frac: frac,
-												Churn:  cspec,
-												Soap:   sspec,
-												Faults: fspec,
-											},
-										})
-									}
-								}
-							}
-						}
-					}
+		var at [len(axes)]int
+		for {
+			// Unset seeds run seed 1.
+			tasks = append(tasks, Task{Experiment: id, Params: Params{Quick: s.Quick, Seed: 1}})
+			t := &tasks[len(tasks)-1]
+			buf = append(buf[:0], id...)
+			for i := range axes {
+				if labels[i] == nil {
+					continue
 				}
+				buf = append(append(append(append(buf, '/'), axes[i].name...), '='), labels[i][at[i]]...)
+				if axes[i].set != nil {
+					axes[i].set(&t.Params, s, at[i])
+				}
+			}
+			t.Label = string(buf)
+			i := len(axes) - 1
+			for ; i >= 0; i-- {
+				if at[i]++; at[i] < len(labels[i]) {
+					break
+				}
+				at[i] = 0
+			}
+			if i < 0 {
+				break
 			}
 		}
 	}
 	return tasks, nil
-}
-
-// axisInts maps an absent axis to the single "keep preset" value.
-func axisInts(xs []int) ([]int, bool) {
-	if len(xs) == 0 {
-		return []int{0}, false
-	}
-	return xs, true
-}
-
-func axisFloats(xs []float64) ([]float64, bool) {
-	if len(xs) == 0 {
-		return []float64{0}, false
-	}
-	return xs, true
-}
-
-func axisSeeds(xs []uint64) ([]uint64, bool) {
-	if len(xs) == 0 {
-		return []uint64{1}, false
-	}
-	return xs, true
-}
-
-// axisChurn maps an absent churn axis to a single "keep preset" slot
-// (represented as a nil *Spec downstream).
-func axisChurn(xs []churn.Spec) ([]churn.Spec, bool) {
-	if len(xs) == 0 {
-		return make([]churn.Spec, 1), false
-	}
-	return xs, true
-}
-
-// axisSoap is axisChurn for the mitigation-campaign axis.
-func axisSoap(xs []soap.Spec) ([]soap.Spec, bool) {
-	if len(xs) == 0 {
-		return make([]soap.Spec, 1), false
-	}
-	return xs, true
-}
-
-// axisFaults is axisChurn for the infrastructure-fault axis.
-func axisFaults(xs []churn.FaultSpec) ([]churn.FaultSpec, bool) {
-	if len(xs) == 0 {
-		return make([]churn.FaultSpec, 1), false
-	}
-	return xs, true
 }
 
 // Aggregate folds a sweep's task results into one table-shaped Result:
@@ -327,46 +228,19 @@ func (s *Sweep) Aggregate(trs []TaskResult) *Result {
 	for _, th := range s.Thresholds {
 		s.appendThreshold(res, trs, th)
 	}
-	// "stores=[]" names an axis that no longer exists. It stays in the
-	// note so that sweep documents keep their recorded bytes; drop it at
-	// the next deliberate re-pin of the sweep outputs.
-	res.AddNote("grid: %d experiments × ns=%v ks=%v fracs=%v churn=%v soap=%v faults=%v stores=[] seeds=%v trials=%d",
-		len(s.Experiments), s.Ns, s.Ks, s.Fracs, churnLabels(s.Churn), soapLabels(s.Soap), faultsLabels(s.Faults), s.Seeds, max(1, s.Trials))
+	note := fmt.Sprintf("grid: %d experiments ×", len(s.Experiments))
+	for i := range axes {
+		note += " " + axes[i].field + "=" + axes[i].noteValue(s)
+	}
+	res.AddNote("%s", note)
 	if failed > 0 {
 		res.AddNote("%d/%d tasks failed", failed, len(trs))
 	}
 	return res
 }
 
-// churnLabels renders the churn axis for the grid note.
-func churnLabels(specs []churn.Spec) []string {
-	out := make([]string, len(specs))
-	for i, spec := range specs {
-		out[i] = spec.Label()
-	}
-	return out
-}
-
-// soapLabels renders the soap axis for the grid note.
-func soapLabels(specs []soap.Spec) []string {
-	out := make([]string, len(specs))
-	for i, spec := range specs {
-		out[i] = spec.Label()
-	}
-	return out
-}
-
-// faultsLabels renders the faults axis for the grid note.
-func faultsLabels(specs []churn.FaultSpec) []string {
-	out := make([]string, len(specs))
-	for i, spec := range specs {
-		out[i] = spec.Label()
-	}
-	return out
-}
-
-// stripComponents removes the named label components ("trial", ...)
-// from a task label ("fig6/n=800/seed=1/trial=2").
+// stripComponents removes the named label components from a task label
+// ("fig6/n=800/seed=1/trial=2").
 func stripComponents(label string, keys ...string) string {
 	parts := strings.Split(label, "/")
 	out := parts[:0]
@@ -406,11 +280,12 @@ func labelComponent(label, key string) string {
 // Both carry a Student-t 95% confidence half-width in the last.ci95
 // column, sized from the replicate count (see internal/stats).
 func (s *Sweep) appendReplicateStats(res *Result, trs []TaskResult) {
+	trial, seed := axisOf(AxisTrial).name, axisOf(AxisSeed).name
 	if s.Trials > 1 {
-		s.appendStatRows(res, trs, " (mean±sd)", "trial")
+		s.appendStatRows(res, trs, " (mean±sd)", trial)
 	}
 	if len(s.Seeds) > 1 {
-		s.appendStatRows(res, trs, " (mean±sd seeds)", "trial", "seed")
+		s.appendStatRows(res, trs, " (mean±sd seeds)", trial, seed)
 	}
 }
 
@@ -453,37 +328,6 @@ func (s *Sweep) appendStatRows(res *Result, trs []TaskResult, suffix string, str
 			fmt.Sprintf("%g", w.Mean()), fmt.Sprintf("%g", w.Stddev()), ci,
 		})
 	}
-}
-
-// axisValueLabels renders a swept axis's values exactly as task labels
-// embed them, in spec order.
-func (s *Sweep) axisValueLabels(axis string) []string {
-	var out []string
-	switch axis {
-	case "n":
-		for _, n := range s.Ns {
-			out = append(out, fmt.Sprintf("%d", n))
-		}
-	case "k":
-		for _, k := range s.Ks {
-			out = append(out, fmt.Sprintf("%d", k))
-		}
-	case "frac":
-		for _, f := range s.Fracs {
-			out = append(out, fmt.Sprintf("%g", f))
-		}
-	case "churn":
-		out = churnLabels(s.Churn)
-	case "soap":
-		out = soapLabels(s.Soap)
-	case "faults":
-		out = faultsLabels(s.Faults)
-	case "seed":
-		for _, seed := range s.Seeds {
-			out = append(out, fmt.Sprintf("%d", seed))
-		}
-	}
-	return out
 }
 
 func seriesStats(s Series) (first, last, min, max float64) {

@@ -26,6 +26,47 @@ func TestParseSweepValidates(t *testing.T) {
 	}
 }
 
+// TestParseSweepRejectsBadAxisValues: every axis value is checked at
+// parse time — in range, listed once, read by some experiment — so a
+// bad grid fails before any task runs instead of crashing a worker,
+// running a preset under a misleading label, or colliding on a task
+// label at run time.
+func TestParseSweepRejectsBadAxisValues(t *testing.T) {
+	cases := []struct {
+		name, spec, wantErr string
+	}{
+		{"duplicate n", `{"experiments":["fig6"],"ns":[800,800]}`, `duplicate n spec "800"`},
+		{"duplicate k", `{"experiments":["fig6"],"ks":[10,10]}`, `duplicate k spec "10"`},
+		{"duplicate frac", `{"experiments":["fig4"],"fracs":[0.3,0.30]}`, `duplicate frac spec "0.3"`},
+		{"duplicate seed", `{"experiments":["fig6"],"seeds":[1,2,1]}`, `duplicate seed spec "1"`},
+		{"frac above 1 (crashed fig4's deletion loop)", `{"experiments":["fig4"],"fracs":[2]}`, "fracs[0]: 2 outside (0, 1]"},
+		{"frac zero", `{"experiments":["fig4"],"fracs":[0.1,0]}`, "fracs[1]: 0 outside (0, 1]"},
+		{"negative frac", `{"experiments":["fig4"],"fracs":[-0.1]}`, "fracs[0]: -0.1 outside (0, 1]"},
+		{"negative n (ran the preset as n=-5)", `{"experiments":["fig6"],"ns":[-5]}`, "ns[0]: -5 < 1"},
+		{"zero k", `{"experiments":["fig6"],"ks":[0]}`, "ks[0]: 0 < 1"},
+		{"axis no experiment reads", `{"experiments":["fig5"],"churn":[{"process":"poisson","leave":8}]}`,
+			"no experiment in [fig5] reads the churn axis"},
+		{"frac on a figure without one", `{"experiments":["fig5","fig6"],"fracs":[0.3]}`, "reads the frac axis"},
+		{"unknown experiment", `{"experiments":["fig6","nope"]}`, `unknown experiment "nope"`},
+	}
+	for _, tc := range cases {
+		if _, err := ParseSweep([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+	// An axis counts as read when any listed experiment reads it, and
+	// seeds and trials are read by every experiment.
+	for _, spec := range []string{
+		`{"experiments":["fig5","churn-repair"],"churn":[{"process":"poisson","leave":8}]}`,
+		`{"experiments":["fig3"],"seeds":[1,2],"trials":2}`,
+		`{"experiments":["fig4"],"fracs":[1]}`,
+	} {
+		if _, err := ParseSweep([]byte(spec)); err != nil {
+			t.Errorf("%s: %v", spec, err)
+		}
+	}
+}
+
 func TestParseSweepDefaultsName(t *testing.T) {
 	s, err := ParseSweep([]byte(`{"experiments":["fig6","fig3"]}`))
 	if err != nil {

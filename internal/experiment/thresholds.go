@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"onionbots/internal/churn"
-	"onionbots/internal/soap"
 	"onionbots/internal/stats"
 )
 
@@ -39,11 +37,11 @@ type Threshold struct {
 	// Stat picks the per-task scalar: "first", "last" (default),
 	// "min", or "max" of the series' y values.
 	Stat string `json:"stat,omitempty"`
-	// Axis is the swept axis to walk: "n", "k", "frac", "churn",
-	// "soap", or "faults". It must actually be swept by the spec.
-	// "seed" is rejected — interpolating over seeds is meaningless;
-	// seeds are replicates, not a parameter. Replicate with trials (or
-	// read the cross-seed mean±sd rows) instead.
+	// Axis names the swept axis to walk, as task labels name it (n, k,
+	// frac, churn, soap or faults). It must actually be swept by the
+	// spec. The seed axis is rejected — seeds are replicates, not a
+	// parameter, and interpolating over them is meaningless. Replicate
+	// with trials (or read the cross-seed mean±sd rows) instead.
 	Axis string `json:"axis"`
 	// Above and Below are the crossing bounds; exactly one must be set.
 	Above *float64 `json:"above,omitempty"`
@@ -61,19 +59,12 @@ func (th Threshold) validate(s *Sweep) error {
 	if (th.Above == nil) == (th.Below == nil) {
 		return fmt.Errorf("threshold: exactly one of above/below must be set")
 	}
-	if th.Axis == "seed" {
-		return fmt.Errorf("threshold: axis \"seed\" cannot be scanned — seeds are replicates, not a parameter, and interpolating over them is meaningless; use trials (or the cross-seed mean±sd rows) instead")
-	}
-	swept := map[string]bool{
-		"n": len(s.Ns) > 0, "k": len(s.Ks) > 0, "frac": len(s.Fracs) > 0,
-		"churn": len(s.Churn) > 0, "soap": len(s.Soap) > 0,
-		"faults": len(s.Faults) > 0,
-	}
-	isSwept, known := swept[th.Axis]
-	if !known {
-		return fmt.Errorf("threshold: unknown axis %q (want n, k, frac, churn, soap, or faults)", th.Axis)
-	}
-	if !isSwept {
+	switch a := axisNamed(th.Axis); {
+	case a == nil || a.id == AxisTrial:
+		return fmt.Errorf("threshold: unknown axis %q (want %s)", th.Axis, scannedAxes())
+	case a.id&replicaAxes != 0:
+		return fmt.Errorf("threshold: axis %q cannot be scanned — seeds are replicates, not a parameter, and interpolating over them is meaningless; use trials (or the cross-seed mean±sd rows) instead", th.Axis)
+	case a.count(s) == 0:
 		return fmt.Errorf("threshold: axis %q is not swept by this spec", th.Axis)
 	}
 	return nil
@@ -171,8 +162,9 @@ type AxisCell struct {
 // statistic at every axis value, in spec order.
 type AxisScan struct {
 	// Axis names the scanned axis; Display is how crossings render the
-	// axis ("n", "λ", "clones", ...). Numeric reports whether the axis
-	// values carry interpolatable numeric positions.
+	// axis (the axis name, or a spec ladder's knob: λ, clones, ...).
+	// Numeric reports whether the axis values carry interpolatable
+	// numeric positions.
 	Axis    string
 	Display string
 	Numeric bool
@@ -203,13 +195,19 @@ func (s *Sweep) ScanAxis(trs []TaskResult, resultID, series, stat, axis string) 
 	if !ValidStat(stat) {
 		return nil, fmt.Errorf("scan axis: unknown stat %q (want first, last, min, or max)", stat)
 	}
-	labels := s.axisValueLabels(axis)
-	if len(labels) == 0 {
+	a := axisNamed(axis)
+	if a == nil || a.id == AxisTrial || a.count(s) == 0 {
 		return nil, fmt.Errorf("scan axis: axis %q is not swept by this spec", axis)
 	}
+	labels := a.labels(s)
 	scan := &AxisScan{Axis: axis}
 	var xs []float64
-	xs, scan.Display, scan.Numeric = s.axisNumericValues(axis)
+	if a.numeric != nil {
+		xs, scan.Display = a.numeric(s)
+	}
+	if scan.Numeric = xs != nil; scan.Numeric && scan.Display == "" {
+		scan.Display = a.name
+	}
 
 	index := make(map[string]int, len(labels))
 	for i, l := range labels {
@@ -227,7 +225,7 @@ func (s *Sweep) ScanAxis(trs []TaskResult, resultID, series, stat, axis string) 
 		if !ok {
 			continue
 		}
-		group := stripComponents(tr.Task.Label, axis, "trial")
+		group := stripComponents(tr.Task.Label, axis, axisOf(AxisTrial).name)
 		cells, seen := groups[group]
 		if !seen {
 			cells = make([]*acc, len(labels))
@@ -317,142 +315,6 @@ func (th Threshold) boundValue() float64 {
 // while still localizing a crossing far more finely than the grid.
 func FormatAxisValue(display string, x float64) string {
 	return fmt.Sprintf("%s≈%.4g", display, x)
-}
-
-// axisNumericValues reports whether a swept axis carries numeric,
-// interpolatable positions, and if so which values and under what
-// display name. n/k/frac are numeric by construction. A churn, soap,
-// or faults axis is numeric when its specs share a shape (same
-// process/flags) and differ in exactly one numeric knob — a λ ladder,
-// a clone-budget ladder, an outage-fraction ladder. Anything else
-// (mixed processes, several knobs varying) is categorical.
-func (s *Sweep) axisNumericValues(axis string) ([]float64, string, bool) {
-	switch axis {
-	case "n", "k":
-		var src []int
-		if axis == "n" {
-			src = s.Ns
-		} else {
-			src = s.Ks
-		}
-		xs := make([]float64, len(src))
-		for i, v := range src {
-			xs[i] = float64(v)
-		}
-		return xs, axis, len(xs) > 0
-	case "frac":
-		return append([]float64(nil), s.Fracs...), axis, len(s.Fracs) > 0
-	case "churn":
-		return churnAxisNumeric(s.Churn)
-	case "soap":
-		return soapAxisNumeric(s.Soap)
-	case "faults":
-		return faultsAxisNumeric(s.Faults)
-	}
-	return nil, "", false
-}
-
-// axisKnob is one numeric field of a spec axis, sampled across the
-// axis's specs.
-type axisKnob struct {
-	name string
-	vals []float64
-}
-
-// singleVaryingKnob returns the one knob whose values differ across
-// the axis, if exactly one does.
-func singleVaryingKnob(knobs []axisKnob) ([]float64, string, bool) {
-	varying := -1
-	for i, k := range knobs {
-		for _, v := range k.vals[1:] {
-			if v != k.vals[0] {
-				if varying >= 0 && varying != i {
-					return nil, "", false
-				}
-				varying = i
-				break
-			}
-		}
-	}
-	if varying < 0 {
-		return nil, "", false
-	}
-	return knobs[varying].vals, knobs[varying].name, true
-}
-
-func churnAxisNumeric(specs []churn.Spec) ([]float64, string, bool) {
-	if len(specs) < 2 {
-		return nil, "", false
-	}
-	for _, sp := range specs[1:] {
-		if sp.Process != specs[0].Process || sp.TraceFile != specs[0].TraceFile {
-			return nil, "", false
-		}
-	}
-	knobs := []axisKnob{
-		// The leave rate is THE λ of the churn literature; the join
-		// rate gets a distinguishing suffix.
-		{"λ", nil}, {"λjoin", nil}, {"amplitude", nil}, {"period_h", nil},
-		{"regions", nil}, {"frac", nil}, {"at_h", nil}, {"hops", nil},
-	}
-	for _, sp := range specs {
-		knobs[0].vals = append(knobs[0].vals, sp.Leave)
-		knobs[1].vals = append(knobs[1].vals, sp.Join)
-		knobs[2].vals = append(knobs[2].vals, sp.Amplitude)
-		knobs[3].vals = append(knobs[3].vals, sp.PeriodH)
-		knobs[4].vals = append(knobs[4].vals, float64(sp.Regions))
-		knobs[5].vals = append(knobs[5].vals, sp.Frac)
-		knobs[6].vals = append(knobs[6].vals, sp.AtH)
-		knobs[7].vals = append(knobs[7].vals, float64(sp.Hops))
-	}
-	return singleVaryingKnob(knobs)
-}
-
-func soapAxisNumeric(specs []soap.Spec) ([]float64, string, bool) {
-	if len(specs) < 2 {
-		return nil, "", false
-	}
-	for _, sp := range specs[1:] {
-		if sp.SolvePoW != specs[0].SolvePoW {
-			return nil, "", false
-		}
-	}
-	knobs := []axisKnob{
-		{"clones", nil}, {"round_s", nil}, {"non", nil}, {"bits", nil},
-	}
-	for _, sp := range specs {
-		knobs[0].vals = append(knobs[0].vals, float64(sp.Clones))
-		knobs[1].vals = append(knobs[1].vals, sp.RoundS)
-		knobs[2].vals = append(knobs[2].vals, float64(sp.NoN))
-		knobs[3].vals = append(knobs[3].vals, float64(sp.SolveBits))
-	}
-	return singleVaryingKnob(knobs)
-}
-
-func faultsAxisNumeric(specs []churn.FaultSpec) ([]float64, string, bool) {
-	if len(specs) < 2 {
-		return nil, "", false
-	}
-	for _, sp := range specs[1:] {
-		if sp.OutageTargeted != specs[0].OutageTargeted {
-			return nil, "", false
-		}
-	}
-	knobs := []axisKnob{
-		{"crash_rate", nil}, {"restart_h", nil}, {"outage_frac", nil},
-		{"outage_at_h", nil}, {"intro_fail_p", nil}, {"retries", nil},
-		{"backoff_s", nil},
-	}
-	for _, sp := range specs {
-		knobs[0].vals = append(knobs[0].vals, sp.CrashRate)
-		knobs[1].vals = append(knobs[1].vals, sp.RestartH)
-		knobs[2].vals = append(knobs[2].vals, sp.OutageFrac)
-		knobs[3].vals = append(knobs[3].vals, sp.OutageAtH)
-		knobs[4].vals = append(knobs[4].vals, sp.IntroFailP)
-		knobs[5].vals = append(knobs[5].vals, float64(sp.RetryAttempts))
-		knobs[6].vals = append(knobs[6].vals, sp.RetryBackoffS)
-	}
-	return singleVaryingKnob(knobs)
 }
 
 // appendThreshold emits the threshold's extracted rows: for each

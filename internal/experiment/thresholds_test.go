@@ -133,48 +133,54 @@ func TestThresholdCategoricalAxisKeepsFirstLabel(t *testing.T) {
 	}
 }
 
+// numericView reads one axis's numeric view from the axes table.
+func numericView(id Axis, s *Sweep) ([]float64, string, bool) {
+	xs, display := axisOf(id).numeric(s)
+	return xs, display, xs != nil
+}
+
 // TestAxisNumericDetection pins which spec axes count as numeric: a
 // single varying numeric knob over a shared shape is a ladder; mixed
 // shapes or several varying knobs are categorical.
 func TestAxisNumericDetection(t *testing.T) {
 	t.Run("churn λ ladder", func(t *testing.T) {
-		xs, display, ok := churnAxisNumeric([]churn.Spec{
+		xs, display, ok := numericView(AxisChurn, &Sweep{Churn: []churn.Spec{
 			{Process: "poisson", Leave: 2}, {Process: "poisson", Leave: 8}, {Process: "poisson", Leave: 32},
-		})
+		}})
 		if !ok || display != "λ" || len(xs) != 3 || xs[2] != 32 {
 			t.Fatalf("λ ladder: xs=%v display=%q ok=%v", xs, display, ok)
 		}
 	})
 	t.Run("mixed processes categorical", func(t *testing.T) {
-		if _, _, ok := churnAxisNumeric([]churn.Spec{
+		if _, _, ok := numericView(AxisChurn, &Sweep{Churn: []churn.Spec{
 			{Process: "poisson", Leave: 8}, {Process: "diurnal", Join: 2, Leave: 2},
-		}); ok {
+		}}); ok {
 			t.Fatal("mixed churn processes must stay categorical")
 		}
 	})
 	t.Run("two varying knobs categorical", func(t *testing.T) {
-		if _, _, ok := churnAxisNumeric([]churn.Spec{
+		if _, _, ok := numericView(AxisChurn, &Sweep{Churn: []churn.Spec{
 			{Process: "poisson", Join: 1, Leave: 2}, {Process: "poisson", Join: 2, Leave: 8},
-		}); ok {
+		}}); ok {
 			t.Fatal("two varying knobs must stay categorical")
 		}
 	})
 	t.Run("soap clone ladder", func(t *testing.T) {
-		xs, display, ok := soapAxisNumeric([]soap.Spec{{Clones: 16}, {Clones: 64}})
+		xs, display, ok := numericView(AxisSoap, &Sweep{Soap: []soap.Spec{{Clones: 16}, {Clones: 64}}})
 		if !ok || display != "clones" || xs[1] != 64 {
 			t.Fatalf("clone ladder: xs=%v display=%q ok=%v", xs, display, ok)
 		}
 	})
 	t.Run("faults retry ladder", func(t *testing.T) {
-		xs, display, ok := faultsAxisNumeric([]churn.FaultSpec{
+		xs, display, ok := numericView(AxisFaults, &Sweep{Faults: []churn.FaultSpec{
 			{OutageFrac: 0.3, RetryAttempts: 1}, {OutageFrac: 0.3, RetryAttempts: 4},
-		})
+		}})
 		if !ok || display != "retries" || xs[1] != 4 {
 			t.Fatalf("retry ladder: xs=%v display=%q ok=%v", xs, display, ok)
 		}
 	})
 	t.Run("single spec categorical", func(t *testing.T) {
-		if _, _, ok := churnAxisNumeric([]churn.Spec{{Process: "poisson", Leave: 8}}); ok {
+		if _, _, ok := numericView(AxisChurn, &Sweep{Churn: []churn.Spec{{Process: "poisson", Leave: 8}}}); ok {
 			t.Fatal("a one-point axis has nothing to interpolate")
 		}
 	})

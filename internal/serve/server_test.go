@@ -163,6 +163,23 @@ func TestServerRejectsMalformedSpecWithLocation(t *testing.T) {
 	}
 }
 
+// A grid that parses but could never run cleanly — a value listed
+// twice collides on its task label, a fraction above 1 crashes fig4's
+// worker — is refused at submission, before any job is created.
+func TestServerRejectsBadAxisValues(t *testing.T) {
+	_, base := newTestServer(t, nil)
+	for spec, want := range map[string]string{
+		`{"experiments":["fig6"],"ns":[800,800]}`: `duplicate n spec`,
+		`{"experiments":["fig4"],"fracs":[2]}`:    `fracs[0]: 2 outside (0, 1]`,
+	} {
+		_, resp := submit(t, base, spec)
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+			t.Errorf("%s: status %d body %s, want 400 naming %q", spec, resp.StatusCode, body, want)
+		}
+	}
+}
+
 // Admission control: an exhausted token bucket answers 429 with a
 // usable Retry-After.
 func TestServerRateLimitsSubmissions(t *testing.T) {
