@@ -18,23 +18,10 @@ func TestParseSweepValidates(t *testing.T) {
 		{"bad json", `{`, "parse sweep"},
 		{"second document", "{\"experiments\":[\"fig6\"]}\n{\"seeds\":\"x\"} trailing garbage", "line 2, column 1: unexpected content after the JSON value"},
 		{"trailing bracket", `{"experiments":["fig6"]}]`, "column 25: unexpected content"},
-	}
-	for _, tc := range cases {
-		if _, err := ParseSweep([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.wantErr)
-		}
-	}
-}
-
-// TestParseSweepRejectsBadAxisValues: every axis value is checked at
-// parse time — in range, listed once, read by some experiment — so a
-// bad grid fails before any task runs instead of crashing a worker,
-// running a preset under a misleading label, or colliding on a task
-// label at run time.
-func TestParseSweepRejectsBadAxisValues(t *testing.T) {
-	cases := []struct {
-		name, spec, wantErr string
-	}{
+		// Axis values are checked at parse time — in range, listed once,
+		// read by some experiment — so a bad grid fails before any task
+		// runs instead of crashing a worker, running a preset under a
+		// misleading label, or colliding on a task label.
 		{"duplicate n", `{"experiments":["fig6"],"ns":[800,800]}`, `duplicate n spec "800"`},
 		{"duplicate k", `{"experiments":["fig6"],"ks":[10,10]}`, `duplicate k spec "10"`},
 		{"duplicate frac", `{"experiments":["fig4"],"fracs":[0.3,0.30]}`, `duplicate frac spec "0.3"`},
@@ -54,8 +41,11 @@ func TestParseSweepRejectsBadAxisValues(t *testing.T) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.wantErr)
 		}
 	}
-	// An axis counts as read when any listed experiment reads it, and
-	// seeds and trials are read by every experiment.
+}
+
+// An axis counts as read when any listed experiment reads it, and seeds
+// and trials are read by every experiment.
+func TestParseSweepAcceptsAxesSomeExperimentReads(t *testing.T) {
 	for _, spec := range []string{
 		`{"experiments":["fig5","churn-repair"],"churn":[{"process":"poisson","leave":8}]}`,
 		`{"experiments":["fig3"],"seeds":[1,2],"trials":2}`,
