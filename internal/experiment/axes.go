@@ -27,6 +27,10 @@ const (
 // threshold scans them.
 const replicaAxes = AxisSeed | AxisTrial
 
+// The replica axes' names, which the aggregate's replicate pooling and
+// axis scans strip from task labels.
+const seedAxis, trialAxis = "seed", "trial"
+
 // axisDesc declares one sweep axis. Parsing, task expansion and labels,
 // the grid note, threshold validation and axis scans all read the axes
 // table, so adding an axis is one entry there plus its Sweep and
@@ -136,14 +140,14 @@ var axes = [...]axisDesc{
 	},
 	{
 		// Unset seeds run seed 1: see Sweep.Tasks.
-		id: AxisSeed, name: "seed", field: "seeds",
+		id: AxisSeed, name: seedAxis, field: "seeds",
 		count: func(s *Sweep) int { return len(s.Seeds) },
 		label: func(s *Sweep, i int) string { return strconv.FormatUint(s.Seeds[i], 10) },
 		set:   func(p *Params, s *Sweep, i int) { p.Seed = s.Seeds[i] },
 	},
 	{
 		// A single trial is unlabelled.
-		id: AxisTrial, name: "trial", field: "trials",
+		id: AxisTrial, name: trialAxis, field: "trials",
 		count: func(s *Sweep) int {
 			if s.Trials > 1 {
 				return s.Trials
@@ -153,16 +157,6 @@ var axes = [...]axisDesc{
 		label: func(_ *Sweep, i int) string { return strconv.Itoa(i) },
 		note:  func(s *Sweep) string { return strconv.Itoa(max(1, s.Trials)) },
 	},
-}
-
-// axisOf returns the table entry for id.
-func axisOf(id Axis) *axisDesc {
-	for i := range axes {
-		if axes[i].id == id {
-			return &axes[i]
-		}
-	}
-	panic(fmt.Sprintf("experiment: no axis %d", id))
 }
 
 // axisNamed returns the table entry keyed name, or nil.

@@ -160,15 +160,21 @@ func TestSweepFaultsAxis(t *testing.T) {
 }
 
 func TestSweepFaultsAxisValidation(t *testing.T) {
-	cases := []struct{ name, spec string }{
-		{"bad spec", `{"experiments":["fig3"],"faults":[{"outage_frac": 1.5}]}`},
-		{"unknown field", `{"experiments":["fig3"],"faults":[{"outage": 0.5}]}`},
-		{"duplicate", `{"experiments":["fig3"],"faults":[{"intro_fail_p":0.5},{"intro_fail_p":0.5}]}`},
-		{"threshold unswept", `{"experiments":["fig3"],"thresholds":[{"series":"x","axis":"faults","above":1}]}`},
+	cases := []struct{ name, spec, wantErr string }{
+		{"bad spec",
+			`{"experiments":["hsdir-outage"],"faults":[{"outage_frac": 1.5}]}`, "faults[0]: faults: outage_frac 1.5 outside [0, 1]"},
+		{"unknown field",
+			`{"experiments":["hsdir-outage"],"faults":[{"outage": 0.5}]}`, "unknown field"},
+		{"duplicate",
+			`{"experiments":["hsdir-outage"],"faults":[{"intro_fail_p":0.5},{"intro_fail_p":0.5}]}`, "duplicate faults spec"},
+		{"threshold unswept",
+			`{"experiments":["hsdir-outage"],"thresholds":[{"series":"x","axis":"faults","above":1}]}`, "not swept"},
+		{"axis not read",
+			`{"experiments":["fig3"],"faults":[{"intro_fail_p":0.5}]}`, "no experiment in [fig3] reads the faults axis"},
 	}
 	for _, c := range cases {
-		if _, err := ParseSweep([]byte(c.spec)); err == nil {
-			t.Errorf("%s: accepted invalid sweep", c.name)
+		if _, err := ParseSweep([]byte(c.spec)); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.wantErr)
 		}
 	}
 }

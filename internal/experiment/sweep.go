@@ -67,42 +67,52 @@ type Sweep struct {
 
 // ParseSweep decodes and validates a JSON sweep spec. Unknown fields
 // are rejected so a typo ("seed" for "seeds") cannot silently collapse
-// a grid axis; so are unknown experiments, axis values out of range or
-// listed twice, and an axis varied although none of the experiments
-// reads it (see Definition.Reads).
+// a grid axis; the decoded sweep must then pass Validate.
 func ParseSweep(data []byte) (*Sweep, error) {
 	var s Sweep
 	if err := jsonx.DecodeStrict(data, &s); err != nil {
 		return nil, fmt.Errorf("parse sweep: %w", err)
 	}
-	if len(s.Experiments) == 0 {
-		return nil, fmt.Errorf("parse sweep: no experiments listed")
-	}
-	if s.Trials < 0 {
-		return nil, fmt.Errorf("parse sweep: negative trials %d", s.Trials)
-	}
-	var reads Axis
-	for _, id := range s.Experiments {
-		def, ok := Lookup(id)
-		if !ok {
-			return nil, fmt.Errorf("parse sweep: unknown experiment %q", id)
-		}
-		reads |= def.Reads
-	}
-	for i := range axes {
-		if err := axes[i].validate(&s, reads); err != nil {
-			return nil, fmt.Errorf("parse sweep: %w", err)
-		}
-	}
-	for i, th := range s.Thresholds {
-		if err := th.validate(&s); err != nil {
-			return nil, fmt.Errorf("parse sweep: thresholds[%d]: %w", i, err)
-		}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("parse sweep: %w", err)
 	}
 	if s.Name == "" {
 		s.Name = strings.Join(s.Experiments, "+")
 	}
 	return &s, nil
+}
+
+// Validate rejects a sweep that could not run cleanly: no or unknown
+// experiments, negative trials, axis values out of range or listed
+// twice, an axis varied although none of the experiments reads it (see
+// Definition.Reads), and malformed thresholds. ParseSweep applies it to
+// every decoded spec; sweeps built in code call it themselves.
+func (s *Sweep) Validate() error {
+	if len(s.Experiments) == 0 {
+		return fmt.Errorf("no experiments listed")
+	}
+	if s.Trials < 0 {
+		return fmt.Errorf("negative trials %d", s.Trials)
+	}
+	var reads Axis
+	for _, id := range s.Experiments {
+		def, ok := Lookup(id)
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", id)
+		}
+		reads |= def.Reads
+	}
+	for i := range axes {
+		if err := axes[i].validate(s, reads); err != nil {
+			return err
+		}
+	}
+	for i, th := range s.Thresholds {
+		if err := th.validate(s); err != nil {
+			return fmt.Errorf("thresholds[%d]: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // LoadSweep reads and parses a sweep spec file.
@@ -280,12 +290,11 @@ func labelComponent(label, key string) string {
 // Both carry a Student-t 95% confidence half-width in the last.ci95
 // column, sized from the replicate count (see internal/stats).
 func (s *Sweep) appendReplicateStats(res *Result, trs []TaskResult) {
-	trial, seed := axisOf(AxisTrial).name, axisOf(AxisSeed).name
 	if s.Trials > 1 {
-		s.appendStatRows(res, trs, " (mean±sd)", trial)
+		s.appendStatRows(res, trs, " (mean±sd)", trialAxis)
 	}
 	if len(s.Seeds) > 1 {
-		s.appendStatRows(res, trs, " (mean±sd seeds)", trial, seed)
+		s.appendStatRows(res, trs, " (mean±sd seeds)", trialAxis, seedAxis)
 	}
 }
 

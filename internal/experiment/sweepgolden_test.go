@@ -162,9 +162,7 @@ func renderSweepGolden(t *testing.T) string {
 			}
 			b.WriteString("\n")
 		}
-		// The grid note's retired " stores=[]" segment is not part of
-		// what this golden pins.
-		b.WriteString(strings.ReplaceAll(s.Aggregate(trs).Render(), " stores=[]", ""))
+		b.WriteString(s.Aggregate(trs).Render())
 	}
 	return b.String()
 }

@@ -225,7 +225,7 @@ func (s *Sweep) ScanAxis(trs []TaskResult, resultID, series, stat, axis string) 
 		if !ok {
 			continue
 		}
-		group := stripComponents(tr.Task.Label, axis, axisOf(AxisTrial).name)
+		group := stripComponents(tr.Task.Label, axis, trialAxis)
 		cells, seen := groups[group]
 		if !seen {
 			cells = make([]*acc, len(labels))

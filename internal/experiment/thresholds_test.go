@@ -134,8 +134,8 @@ func TestThresholdCategoricalAxisKeepsFirstLabel(t *testing.T) {
 }
 
 // numericView reads one axis's numeric view from the axes table.
-func numericView(id Axis, s *Sweep) ([]float64, string, bool) {
-	xs, display := axisOf(id).numeric(s)
+func numericView(name string, s *Sweep) ([]float64, string, bool) {
+	xs, display := axisNamed(name).numeric(s)
 	return xs, display, xs != nil
 }
 
@@ -144,7 +144,7 @@ func numericView(id Axis, s *Sweep) ([]float64, string, bool) {
 // shapes or several varying knobs are categorical.
 func TestAxisNumericDetection(t *testing.T) {
 	t.Run("churn λ ladder", func(t *testing.T) {
-		xs, display, ok := numericView(AxisChurn, &Sweep{Churn: []churn.Spec{
+		xs, display, ok := numericView("churn", &Sweep{Churn: []churn.Spec{
 			{Process: "poisson", Leave: 2}, {Process: "poisson", Leave: 8}, {Process: "poisson", Leave: 32},
 		}})
 		if !ok || display != "λ" || len(xs) != 3 || xs[2] != 32 {
@@ -152,27 +152,27 @@ func TestAxisNumericDetection(t *testing.T) {
 		}
 	})
 	t.Run("mixed processes categorical", func(t *testing.T) {
-		if _, _, ok := numericView(AxisChurn, &Sweep{Churn: []churn.Spec{
+		if _, _, ok := numericView("churn", &Sweep{Churn: []churn.Spec{
 			{Process: "poisson", Leave: 8}, {Process: "diurnal", Join: 2, Leave: 2},
 		}}); ok {
 			t.Fatal("mixed churn processes must stay categorical")
 		}
 	})
 	t.Run("two varying knobs categorical", func(t *testing.T) {
-		if _, _, ok := numericView(AxisChurn, &Sweep{Churn: []churn.Spec{
+		if _, _, ok := numericView("churn", &Sweep{Churn: []churn.Spec{
 			{Process: "poisson", Join: 1, Leave: 2}, {Process: "poisson", Join: 2, Leave: 8},
 		}}); ok {
 			t.Fatal("two varying knobs must stay categorical")
 		}
 	})
 	t.Run("soap clone ladder", func(t *testing.T) {
-		xs, display, ok := numericView(AxisSoap, &Sweep{Soap: []soap.Spec{{Clones: 16}, {Clones: 64}}})
+		xs, display, ok := numericView("soap", &Sweep{Soap: []soap.Spec{{Clones: 16}, {Clones: 64}}})
 		if !ok || display != "clones" || xs[1] != 64 {
 			t.Fatalf("clone ladder: xs=%v display=%q ok=%v", xs, display, ok)
 		}
 	})
 	t.Run("faults retry ladder", func(t *testing.T) {
-		xs, display, ok := numericView(AxisFaults, &Sweep{Faults: []churn.FaultSpec{
+		xs, display, ok := numericView("faults", &Sweep{Faults: []churn.FaultSpec{
 			{OutageFrac: 0.3, RetryAttempts: 1}, {OutageFrac: 0.3, RetryAttempts: 4},
 		}})
 		if !ok || display != "retries" || xs[1] != 4 {
@@ -180,7 +180,7 @@ func TestAxisNumericDetection(t *testing.T) {
 		}
 	})
 	t.Run("single spec categorical", func(t *testing.T) {
-		if _, _, ok := numericView(AxisChurn, &Sweep{Churn: []churn.Spec{{Process: "poisson", Leave: 8}}}); ok {
+		if _, _, ok := numericView("churn", &Sweep{Churn: []churn.Spec{{Process: "poisson", Leave: 8}}}); ok {
 			t.Fatal("a one-point axis has nothing to interpolate")
 		}
 	})

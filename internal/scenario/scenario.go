@@ -307,14 +307,20 @@ func Names() []string {
 	return out
 }
 
-// Run executes a scenario: expand the sweep (forcing quick presets when
-// quick is set), run it on the given runner (nil = defaults), aggregate,
-// and evaluate the expectation block. The error covers infrastructure
-// problems (bad grid); failed expectations are Outcomes, not errors.
+// Run executes a scenario: validate and expand the sweep (forcing quick
+// presets when quick is set), run it on the given runner (nil =
+// defaults), aggregate, and evaluate the expectation block. The error
+// covers infrastructure problems (bad grid); failed expectations are
+// Outcomes, not errors. The sweep is validated here rather than in
+// Register because a replay churn spec's check opens its trace file,
+// which resolves against the working directory of the run.
 func Run(sc *Scenario, quick bool, runner *experiment.Runner) (*Report, error) {
 	s := *sc.Sweep
 	if quick {
 		s.Quick = true
+	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	tasks, err := s.Tasks()
 	if err != nil {

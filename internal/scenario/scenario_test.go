@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -243,8 +244,11 @@ func TestReportPassedAndResultShape(t *testing.T) {
 
 // TestLibraryShape pins the registry contract the CLI and docs rely
 // on: at least 10 scenarios, sorted stable names, and every entry's
-// sweep expands without running anything.
+// sweep passes the checks a submitted spec must pass and expands
+// without running anything. It runs from the repo root, where the
+// replay scenario's trace path resolves.
 func TestLibraryShape(t *testing.T) {
+	t.Chdir(filepath.Join("..", ".."))
 	names := Names()
 	if len(names) < 10 {
 		t.Fatalf("library has %d scenarios, the issue requires >= 10: %v", len(names), names)
@@ -261,6 +265,9 @@ func TestLibraryShape(t *testing.T) {
 		}
 		if sc.Sweep.Name != name {
 			t.Errorf("%s: sweep name %q not aligned with scenario name", name, sc.Sweep.Name)
+		}
+		if err := sc.Sweep.Validate(); err != nil {
+			t.Errorf("%s: sweep does not validate: %v", name, err)
 		}
 		if _, err := sc.Sweep.Tasks(); err != nil {
 			t.Errorf("%s: sweep does not expand: %v", name, err)
@@ -312,6 +319,22 @@ func TestRegisterRejectsBrokenDefinitions(t *testing.T) {
 			}()
 			Register(tc.sc)
 		})
+	}
+}
+
+// TestRunRejectsInvalidSweep: a sweep built in code gets the parser's
+// checks before any task reaches a worker. A fraction above 1 would
+// otherwise crash fig4's worker goroutine, and an axis no experiment
+// reads would expand into tasks that ignore it.
+func TestRunRejectsInvalidSweep(t *testing.T) {
+	for sweep, want := range map[*experiment.Sweep]string{
+		{Name: "bad-frac", Experiments: []string{"fig4"}, Fracs: []float64{2}}:                               "fracs[0]: 2 outside (0, 1]",
+		{Name: "unread", Experiments: []string{"fig5"}, Churn: []churn.Spec{{Process: "poisson", Leave: 8}}}: "no experiment in [fig5] reads the churn axis",
+	} {
+		sc := &Scenario{Name: sweep.Name, Sweep: sweep, Expect: []Expectation{{Kind: "bounded", Series: "q", Lo: f(0)}}}
+		if _, err := Run(sc, true, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want containing %q", sweep.Name, err, want)
+		}
 	}
 }
 

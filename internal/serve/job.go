@@ -18,7 +18,8 @@ import (
 // them back up. The terminal states are Completed (result.json written;
 // per-task failures land in the aggregate's error rows, they do not
 // fail the job), Failed (infrastructure failure: corrupt journal,
-// journal/spec mismatch, unwritable disk), and Cancelled.
+// journal/spec mismatch, unwritable disk, a stored spec that no longer
+// parses), and Cancelled.
 type JobState string
 
 const (
@@ -267,13 +268,12 @@ func (s *Store) load(id string) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", id, err)
 	}
-	spec, err := experiment.ParseSweep(specBytes)
-	if err != nil {
-		return nil, fmt.Errorf("load %s: %w", id, err)
-	}
-	j.Spec = spec
-	if tasks, err := spec.Tasks(); err == nil {
-		j.total = len(tasks)
+	spec, specErr := experiment.ParseSweep(specBytes)
+	if specErr == nil {
+		j.Spec = spec
+		if tasks, err := spec.Tasks(); err == nil {
+			j.total = len(tasks)
+		}
 	}
 	if data, err := os.ReadFile(j.statePath()); err == nil {
 		var ps persistedState
@@ -287,10 +287,17 @@ func (s *Store) load(id string) (*Job, error) {
 	if j.state == JobRunning {
 		j.state = JobQueued
 	}
-	switch j.state {
-	case JobCompleted:
+	// A spec an older, more lenient parser accepted may fail today's
+	// checks. Such a job cannot run, so an unfinished one is failed; a
+	// finished one keeps its state and result. Either way the rest of
+	// the directory loads, and the files stay as written.
+	if specErr != nil && !j.state.Terminal() {
+		j.state, j.errMsg = JobFailed, fmt.Sprintf("stored spec no longer parses: %v", specErr)
+	}
+	switch {
+	case j.state == JobCompleted && j.Spec != nil:
 		j.done = j.total
-	case JobQueued:
+	case j.state == JobCompleted, j.state == JobQueued:
 		if replayed, _, err := ReplayJournal(j.journalPath()); err == nil {
 			j.done = len(replayed)
 			for _, tr := range replayed {
@@ -298,6 +305,9 @@ func (s *Store) load(id string) (*Job, error) {
 					j.failedTasks++
 				}
 			}
+		}
+		if j.Spec == nil {
+			j.total = j.done
 		}
 	}
 	if j.state.Terminal() {

@@ -8,9 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"onionbots/internal/experiment"
 )
 
 // newTestServer builds a Server over a temp jobs dir, starts its
@@ -177,6 +181,82 @@ func TestServerRejectsBadAxisValues(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
 			t.Errorf("%s: status %d body %s, want 400 naming %q", spec, resp.StatusCode, body, want)
 		}
+	}
+}
+
+// A jobs directory written under a more lenient parser still loads.
+// Job 1 completed with an axis fig5 does not read, job 2 was queued
+// with a seed listed twice; both specs parse no longer. The server
+// starts anyway: the finished job keeps its state and result, the
+// unfinished one is listed failed with the parse error, and a valid
+// queued job behind them still resumes and completes.
+func TestServerStartsOverStoredSpecsThatNoLongerParse(t *testing.T) {
+	dir := t.TempDir()
+	seed := func(id, spec, state string) string {
+		t.Helper()
+		jobDir := filepath.Join(dir, id)
+		if err := os.MkdirAll(jobDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string]string{
+			"spec.json":  spec,
+			"state.json": `{"state":"` + state + `"}` + "\n",
+		} {
+			if err := os.WriteFile(filepath.Join(jobDir, name), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return jobDir
+	}
+	doneDir := seed("job-000001", `{"experiments":["fig5"],"churn":[{"process":"poisson","leave":8}]}`, "completed")
+	jr, err := OpenJournal(filepath.Join(doneDir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Append(experiment.TaskResult{Task: experiment.Task{
+		Label: "fig5/churn=poisson;l=8", Experiment: "fig5"}}); err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	const result = `{"id":"sweep-fig5"}` + "\n"
+	if err := os.WriteFile(filepath.Join(doneDir, "result.json"), []byte(result), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seed("job-000002", `{"experiments":["serve-det"],"seeds":[1,1]}`, "queued")
+	seed("job-000003", `{"experiments":["serve-det"],"quick":true,"seeds":[1]}`, "queued")
+
+	_, base := newTestServer(t, func(c *Config) { c.JobsDir = dir })
+	if st := waitState(t, base, "job-000001", JobCompleted); st.Total != 1 || st.Done != 1 {
+		t.Errorf("completed job status = %+v, want 1 of 1 task done", st)
+	}
+	resp, err := http.Get(base + "/jobs/job-000001/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != result {
+		t.Errorf("completed job result: %d %q, want 200 %q", resp.StatusCode, body, result)
+	}
+	waitState(t, base, "job-000003", JobCompleted)
+
+	resp, err = http.Get(base + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var listing struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Jobs) != 3 {
+		t.Fatalf("listing has %d jobs, want 3: %+v", len(listing.Jobs), listing.Jobs)
+	}
+	if st := listing.Jobs[1]; st.State != JobFailed ||
+		!strings.Contains(st.Error, "stored spec no longer parses") || !strings.Contains(st.Error, "duplicate seed spec") {
+		t.Errorf("listing[1] = %+v, want failed naming the duplicate seed", st)
 	}
 }
 
