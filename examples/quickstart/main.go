@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -15,13 +16,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// One simulated Tor network (20 relays), one botmaster, and a
 	// deterministic seed: every run of this program prints the same
 	// thing.
@@ -29,7 +30,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("C&C rally address: %s\n", bn.Master.Onion())
+	fmt.Fprintf(w, "C&C rally address: %s\n", bn.Master.Onion())
 
 	// Infect 15 hosts. Each new bot bootstraps from its infector's
 	// peer list (hardcoded-list strategy, inclusion probability 0.5).
@@ -40,9 +41,9 @@ func run() error {
 
 	g := bn.OverlayGraph()
 	diam, _ := graph.Diameter(g)
-	fmt.Printf("overlay after formation: %d bots, %d edges, %d component(s), diameter %d\n",
+	fmt.Fprintf(w, "overlay after formation: %d bots, %d edges, %d component(s), diameter %d\n",
 		g.NumNodes(), g.NumEdges(), graph.NumComponents(g), diam)
-	fmt.Printf("botmaster registry: %d bots reported K_B at rally\n", bn.Master.NumRegistered())
+	fmt.Fprintf(w, "botmaster registry: %d bots reported K_B at rally\n", bn.Master.NumRegistered())
 
 	// Push a broadcast through one entry bot; flooding delivers it to
 	// everyone, with every hop sealed and fixed-size.
@@ -50,7 +51,7 @@ func run() error {
 		return err
 	}
 	bn.Run(2 * time.Minute)
-	fmt.Printf("broadcast executed on %d/15 bots\n", bn.ExecutedCount("ddos"))
+	fmt.Fprintf(w, "broadcast executed on %d/15 bots\n", bn.ExecutedCount("ddos"))
 
 	// Take down 5 bots, one at a time; survivors detect dead peers via
 	// pings and repair around them using Neighbors-of-Neighbor state.
@@ -60,7 +61,7 @@ func run() error {
 		bn.Run(10 * time.Minute)
 	}
 	g = bn.OverlayGraph()
-	fmt.Printf("after 5 takedowns: %d bots, %d edges, %d component(s)\n",
+	fmt.Fprintf(w, "after 5 takedowns: %d bots, %d edges, %d component(s)\n",
 		g.NumNodes(), g.NumEdges(), graph.NumComponents(g))
 
 	// The C&C can still reach a specific surviving bot directly, via
@@ -68,7 +69,7 @@ func run() error {
 	for _, rec := range bn.Master.Records() {
 		if err := bn.Master.Reach(rec, bn.Master.NewCommand("status", nil)); err == nil {
 			bn.Run(time.Minute)
-			fmt.Printf("directed reach: bot %s executed 'status' (%d bot total)\n",
+			fmt.Fprintf(w, "directed reach: bot %s executed 'status' (%d bot total)\n",
 				rec.ID(), bn.ExecutedCount("status"))
 			break
 		}

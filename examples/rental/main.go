@@ -10,6 +10,7 @@ package main
 import (
 	"crypto/ed25519"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -18,13 +19,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "rental: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	bn, err := core.NewBotNet(31, 20, core.BotConfig{})
 	if err != nil {
 		return err
@@ -43,7 +44,7 @@ func run() error {
 	now := bn.Net.Now()
 	token := botcrypto.IssueToken(bn.Master.SignPriv(), trudyPub,
 		now.Add(24*time.Hour), []string{"spam", "mine"})
-	fmt.Printf("token issued: whitelist %v, expires %s\n", token.Whitelist,
+	fmt.Fprintf(w, "token issued: whitelist %v, expires %s\n", token.Whitelist,
 		token.Expiry.Format(time.RFC3339))
 
 	inject := func(cmd *core.Command) {
@@ -58,14 +59,14 @@ func run() error {
 	spam.Nonce[0] = 1
 	spam.SignRenter(trudyPriv, token)
 	inject(spam)
-	fmt.Printf("rented 'spam' executed on %d/8 bots\n", bn.ExecutedCount("spam"))
+	fmt.Fprintf(w, "rented 'spam' executed on %d/8 bots\n", bn.ExecutedCount("spam"))
 
 	// Off-whitelist: Trudy tries a DDoS she did not pay for.
 	ddos := &core.Command{Name: "ddos", Args: []byte("example.com"), IssuedAt: bn.Net.Now()}
 	ddos.Nonce[0] = 2
 	ddos.SignRenter(trudyPriv, token)
 	inject(ddos)
-	fmt.Printf("rented 'ddos' (not whitelisted) executed on %d/8 bots\n", bn.ExecutedCount("ddos"))
+	fmt.Fprintf(w, "rented 'ddos' (not whitelisted) executed on %d/8 bots\n", bn.ExecutedCount("ddos"))
 
 	// After expiry: the token is dead, no signature can revive it.
 	bn.Run(25 * time.Hour)
@@ -73,11 +74,11 @@ func run() error {
 	late.Nonce[0] = 3
 	late.SignRenter(trudyPriv, token)
 	inject(late)
-	fmt.Printf("rented 'mine' after expiry executed on %d/8 bots\n", bn.ExecutedCount("mine"))
+	fmt.Fprintf(w, "rented 'mine' after expiry executed on %d/8 bots\n", bn.ExecutedCount("mine"))
 
 	// The master's own commands need no token.
 	master := bn.Master.NewCommand("update", nil)
 	inject(master)
-	fmt.Printf("master 'update' executed on %d/8 bots\n", bn.ExecutedCount("update"))
+	fmt.Fprintf(w, "master 'update' executed on %d/8 bots\n", bn.ExecutedCount("update"))
 	return nil
 }

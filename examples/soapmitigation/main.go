@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -15,13 +16,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "soapmitigation: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	bn, err := core.NewBotNet(11, 20, core.BotConfig{DMin: 2, DMax: 4})
 	if err != nil {
 		return err
@@ -33,23 +34,23 @@ func run() error {
 		return err
 	}
 	bn.Run(6 * time.Minute)
-	fmt.Printf("victim botnet: 10 bots, overlay edges: %d\n", bn.OverlayGraph().NumEdges())
+	fmt.Fprintf(w, "victim botnet: 10 bots, overlay edges: %d\n", bn.OverlayGraph().NumEdges())
 
 	if err := bn.Broadcast("spam", nil, 1); err != nil {
 		return err
 	}
 	bn.Run(2 * time.Minute)
-	fmt.Printf("before SOAP: broadcast executed on %d/10 bots\n\n", bn.ExecutedCount("spam"))
+	fmt.Fprintf(w, "before SOAP: broadcast executed on %d/10 bots\n\n", bn.ExecutedCount("spam"))
 
 	captured := bn.AliveBots()[0]
-	fmt.Printf("defender captures bot %s, recovers the network key,\n", captured.Onion())
-	fmt.Println("and starts spawning clones (all on ONE machine)...")
+	fmt.Fprintf(w, "defender captures bot %s, recovers the network key,\n", captured.Onion())
+	fmt.Fprintln(w, "and starts spawning clones (all on ONE machine)...")
 	attacker := soap.NewAttacker(bn.Net, bn.Master.NetKey(), soap.Config{})
 	attacker.Start(captured.Onion())
 
 	for step := 1; step <= 9; step++ {
 		bn.Run(30 * time.Minute)
-		fmt.Printf("step %d: discovered=%2d clones=%3d surrounded=%.0f%% contained=%.0f%%\n",
+		fmt.Fprintf(w, "step %d: discovered=%2d clones=%3d surrounded=%.0f%% contained=%.0f%%\n",
 			step, len(attacker.KnownBots()), attacker.Stats().ClonesCreated,
 			100*soap.CloneNeighborFraction(bn, attacker),
 			100*soap.ContainmentFraction(bn, attacker))
@@ -60,10 +61,10 @@ func run() error {
 	}
 	bn.Run(2 * time.Minute)
 	benign := soap.BenignOverlay(bn, attacker)
-	fmt.Printf("\nafter SOAP: broadcast executed on %d/10 bots\n", bn.ExecutedCount("spam2"))
-	fmt.Printf("benign bot-to-bot edges remaining: %d\n", benign.NumEdges())
-	fmt.Printf("C&C traffic silently dropped by clones: %d messages\n",
+	fmt.Fprintf(w, "\nafter SOAP: broadcast executed on %d/10 bots\n", bn.ExecutedCount("spam2"))
+	fmt.Fprintf(w, "benign bot-to-bot edges remaining: %d\n", benign.NumEdges())
+	fmt.Fprintf(w, "C&C traffic silently dropped by clones: %d messages\n",
 		attacker.Stats().MessagesBlocked)
-	fmt.Println("the botnet is partitioned and neutralized.")
+	fmt.Fprintln(w, "the botnet is partitioned and neutralized.")
 	return nil
 }

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -18,13 +19,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "superonion: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	bn, err := core.NewBotNet(21, 20, core.BotConfig{DMin: 2, DMax: 4})
 	if err != nil {
 		return err
@@ -40,7 +41,7 @@ func run() error {
 		return err
 	}
 	bn.Run(6 * time.Minute)
-	fmt.Printf("SuperOnion fleet: %d hosts x 3 virtual nodes = %d virtual bots\n",
+	fmt.Fprintf(w, "SuperOnion fleet: %d hosts x 3 virtual nodes = %d virtual bots\n",
 		len(fleet.Hosts), fleet.VirtualCount())
 
 	attacker := soap.NewAttacker(bn.Net, bn.Master.NetKey(),
@@ -48,7 +49,7 @@ func run() error {
 	attacker.Start(fleet.Hosts[0].Virtuals()[0].Onion())
 	isBenign := func(onion string) bool { return !attacker.IsClone(onion) }
 
-	fmt.Println("\nSOAP campaign against the fleet:")
+	fmt.Fprintln(w, "\nSOAP campaign against the fleet:")
 	for q := 1; q <= 8; q++ {
 		bn.Run(15 * time.Minute)
 		detected, replaced := 0, 0
@@ -56,12 +57,12 @@ func run() error {
 			detected += h.Stats().SoapedDetected
 			replaced += h.Stats().VirtualsReplaced
 		}
-		fmt.Printf("t=%3dm contained hosts=%d/%d soaped-detected=%d replaced=%d clones=%d\n",
+		fmt.Fprintf(w, "t=%3dm contained hosts=%d/%d soaped-detected=%d replaced=%d clones=%d\n",
 			q*15, fleet.ContainedHosts(isBenign), len(fleet.Hosts),
 			detected, replaced, attacker.Stats().ClonesCreated)
 	}
 
-	fmt.Println("\na host is lost only while ALL of its virtual nodes are soaped at once;")
-	fmt.Println("probe detection plus hotlist re-bootstrap keeps pulling hosts back out.")
+	fmt.Fprintln(w, "\na host is lost only while ALL of its virtual nodes are soaped at once;")
+	fmt.Fprintln(w, "probe detection plus hotlist re-bootstrap keeps pulling hosts back out.")
 	return nil
 }
