@@ -342,6 +342,7 @@ const (
 	botTickPing uint8 = iota
 	botTickGossip
 	botTickRotate
+	botTickPoll
 )
 
 // startTimers installs the bot's recurring maintenance timers. They are
@@ -351,20 +352,19 @@ const (
 // events per period instead of 3·10^5 — with firing order identical to
 // per-bot timers for contiguously created populations (see
 // sim.EveryBatched's ordering contract). The subscriptions are
-// closure-free (Ticker, tag) pairs: a tick streams flat subscriber
-// arrays instead of chasing three captured-variable blocks per bot.
+// (Ticker, tag) pairs: a tick streams flat subscriber arrays instead of
+// chasing captured-variable blocks per bot.
 func (b *Bot) startTimers() {
 	sched := b.net.Scheduler()
-	sched.EveryBatchedTick(b.cfg.PingInterval, b, botTickPing)
-	sched.EveryBatchedTick(b.cfg.NoNInterval, b, botTickGossip)
+	sched.EveryBatched(b.cfg.PingInterval, b, botTickPing)
+	sched.EveryBatched(b.cfg.NoNInterval, b, botTickGossip)
 	if b.cfg.Rotation {
-		sched.EveryBatchedTick(time.Hour, b, botTickRotate)
+		sched.EveryBatched(time.Hour, b, botTickRotate)
 	}
 }
 
-// BatchTick dispatches one batched maintenance duty (sim.Ticker). It
-// keeps exactly the old closures' shape: dead bots unsubscribe, live
-// ones run the duty the tag names.
+// BatchTick dispatches one batched maintenance duty (sim.Ticker): dead
+// bots unsubscribe, live ones run the duty the tag names.
 func (b *Bot) BatchTick(tag uint8) bool {
 	if !b.alive {
 		return false
@@ -376,6 +376,8 @@ func (b *Bot) BatchTick(tag uint8) bool {
 		b.gossipNoN()
 	case botTickRotate:
 		b.maybeRotate()
+	case botTickPoll:
+		_ = b.Poll()
 	}
 	return true
 }

@@ -95,16 +95,7 @@ func (b *Bot) Poll() error {
 
 // StartPolling schedules periodic polls (pull-based waiting stage).
 // Polls batch onto one shared wheel event per (interval, phase), like
-// the other per-bot maintenance timers.
+// the other per-bot maintenance timers (see Bot.BatchTick).
 func (b *Bot) StartPolling(every time.Duration) {
-	if every <= 0 {
-		return
-	}
-	b.net.Scheduler().EveryBatched(every, func() bool {
-		if !b.alive {
-			return false
-		}
-		_ = b.Poll()
-		return true
-	})
+	b.net.Scheduler().EveryBatched(every, b, botTickPoll)
 }

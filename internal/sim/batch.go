@@ -6,57 +6,46 @@ import "time"
 // Every(period) maintenance timer, pays n heap insertions per period and
 // keeps n pending events alive. EveryBatched collapses all subscribers
 // that share a (period, subscription instant) pair into one recurring
-// wheel event that iterates the due callbacks in subscription order —
+// wheel event that iterates the due Tickers in subscription order —
 // one event per period per setup burst, regardless of population.
 //
 // Ordering contract: within a batch, subscribers run back to back in
-// subscription order — the order their individual timers would have
-// fired, since simultaneous events fire FIFO. Against other same-instant
-// events, the batch event occupies the sequence position of the *first*
-// subscriber's individual timer: it is created when that subscriber
-// subscribes and reschedules at every instant the individual timers
-// would all have rescheduled. That makes batching output-identical to
-// individual Every timers provided no *foreign* event, scheduled
+// subscription order — the order their individual Every timers would
+// have fired, since simultaneous events fire FIFO. Against other
+// same-instant events, the batch event occupies the sequence position
+// of the *first* subscriber's individual timer: it is created when that
+// subscriber subscribes and reschedules at every instant the individual
+// timers would all have rescheduled. That makes batching output-identical
+// to individual Every timers provided no *foreign* event, scheduled
 // between two subscriptions of the same burst, fires at exactly a tick
 // instant of the batch (it would interleave between individual timers
 // but sort entirely before or after the batch; the repository's bot
 // populations subscribe contiguously at setup, and the CI byte-compare
-// holds). Subscribers arriving at a *different* virtual instant never
-// join an existing batch (even when their phase lines up) precisely
-// because their individual timer would have carried a fresh sequence
-// number; they start a new batch, which for a population trickling in
-// one at a time degrades gracefully to per-subscriber timers.
+// holds). For the same reason closure Every timers are never batched.
+// Subscribers arriving at a *different* virtual instant never join an
+// existing batch (even when their phase lines up) precisely because
+// their individual timer would have carried a fresh sequence number;
+// they start a new batch, which for a population trickling in one at a
+// time degrades gracefully to per-subscriber timers.
 type batchKey struct {
 	period  int64
 	created int64 // virtual ns the batch was created; implies the phase
 }
 
-// Ticker is the closure-free batched-timer subscriber: one object
-// implements every periodic duty it owns, dispatching on the tag it
-// subscribed with. A population of n entities with k timers each then
-// costs n·k two-word batchSub entries in flat arrays instead of n·k
-// heap-allocated closures, and a tick streams those arrays without
-// chasing captured-variable blocks. Return false to unsubscribe, as
-// with Every.
+// Ticker is a batched-timer subscriber: one object implements every
+// periodic duty it owns, dispatching on the tag it subscribed with. A
+// population of n entities with k timers each then costs n·k two-word
+// batchSub entries in flat arrays instead of n·k heap-allocated
+// closures, and a tick streams those arrays without chasing
+// captured-variable blocks. Return false to unsubscribe, as with Every.
 type Ticker interface {
 	BatchTick(tag uint8) bool
 }
 
-// batchSub is one subscription in a batch: either a closure (fn set,
-// the EveryBatched path) or a (Ticker, tag) pair (the EveryBatchedTick
-// path). Mixed batches are fine — ordering depends only on
-// subscription order, never on which form a subscriber used.
+// batchSub is one (Ticker, tag) subscription in a batch.
 type batchSub struct {
-	fn  func() bool
 	t   Ticker
 	tag uint8
-}
-
-func (s batchSub) run() bool {
-	if s.fn != nil {
-		return s.fn()
-	}
-	return s.t.BatchTick(s.tag)
 }
 
 // tickBatch is the shared recurring event for one (period, instant).
@@ -68,26 +57,13 @@ type tickBatch struct {
 	subs []batchSub
 }
 
-// EveryBatched schedules fn like Every(d, fn) — first run d from now,
-// repeating while fn returns true — but multiplexes every subscriber
-// with the same period and subscription instant onto a single recurring
-// event. Use it for per-entity maintenance timers in large populations
-// built in setup bursts. A non-positive d is rejected by doing nothing.
-func (s *Scheduler) EveryBatched(d time.Duration, fn func() bool) {
-	s.everyBatchedSub(d, batchSub{fn: fn})
-}
-
-// EveryBatchedTick is EveryBatched without the closure: the subscriber
-// is a (Ticker, tag) pair stored inline in the batch's subscriber
-// array, and each tick calls t.BatchTick(tag). Firing order is
-// identical to an EveryBatched closure subscribed at the same point —
-// the two forms share one batch per (period, instant) — so swapping a
-// closure for a Ticker cannot perturb trace output.
-func (s *Scheduler) EveryBatchedTick(d time.Duration, t Ticker, tag uint8) {
-	s.everyBatchedSub(d, batchSub{t: t, tag: tag})
-}
-
-func (s *Scheduler) everyBatchedSub(d time.Duration, sub batchSub) {
+// EveryBatched schedules t.BatchTick(tag) like Every(d, …) — first run
+// d from now, repeating while it returns true — but multiplexes every
+// subscriber with the same period and subscription instant onto a
+// single recurring event. Use it for per-entity maintenance timers in
+// large populations built in setup bursts. A non-positive d is rejected
+// by doing nothing.
+func (s *Scheduler) EveryBatched(d time.Duration, t Ticker, tag uint8) {
 	if d <= 0 {
 		return
 	}
@@ -95,6 +71,7 @@ func (s *Scheduler) everyBatchedSub(d time.Duration, sub batchSub) {
 	if s.batches == nil {
 		s.batches = make(map[batchKey]*tickBatch)
 	}
+	sub := batchSub{t: t, tag: tag}
 	if b, ok := s.batches[key]; ok {
 		b.subs = append(b.subs, sub)
 		return
@@ -116,13 +93,12 @@ func (s *Scheduler) everyBatchedSub(d time.Duration, sub batchSub) {
 		w := 0
 		for i := 0; i < len(b.subs); i++ {
 			sub := b.subs[i]
-			if sub.run() {
+			if sub.t.BatchTick(sub.tag) {
 				b.subs[w] = sub
 				w++
 			}
 		}
-		// Zero dropped tails so unsubscribed closures and tickers become
-		// collectable.
+		// Zero dropped tails so unsubscribed tickers become collectable.
 		for i := w; i < len(b.subs); i++ {
 			b.subs[i] = batchSub{}
 		}

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// tickEntity mirrors the subscriber population of
-// TestEveryBatchedMatchesEvery as a Ticker: one object owning an "a"
-// duty (fires a bounded number of times), an "r" duty (fires until an
-// elapsed deadline), and a "b" duty on a longer period — a bot-shaped
-// mix of maintenance timers.
+// tickEntity is the subscriber population of
+// TestEveryBatchedMatchesEvery: one Ticker owning an "a" duty (fires a
+// bounded number of times), an "r" duty (fires until an elapsed
+// deadline), and a "b" duty on a longer period — a bot-shaped mix of
+// maintenance timers.
 type tickEntity struct {
 	s     *Scheduler
 	trace *[]string
@@ -39,89 +39,7 @@ func (e *tickEntity) BatchTick(tag uint8) bool {
 	}
 }
 
-// TestEveryBatchedTickMatchesClosures pins the closure-free subscriber
-// path: a population subscribed via EveryBatchedTick must fire exactly
-// like the same population subscribed as EveryBatched closures — same
-// instants, same order, same stop semantics. This is the A/B gate that
-// let Bot.startTimers drop its three per-bot closures without a byte
-// of trace drift.
-func TestEveryBatchedTickMatchesClosures(t *testing.T) {
-	closures := func() []string {
-		s := NewScheduler()
-		var trace []string
-		for i := 0; i < 5; i++ {
-			e := &tickEntity{s: s, trace: &trace, i: i, aLeft: 2 + i}
-			s.EveryBatched(time.Minute, func() bool { return e.BatchTick(tickTagA) })
-			s.EveryBatched(time.Minute, func() bool { return e.BatchTick(tickTagR) })
-		}
-		for i := 0; i < 3; i++ {
-			e := &tickEntity{s: s, trace: &trace, i: i}
-			s.EveryBatched(5*time.Minute, func() bool { return e.BatchTick(tickTagB) })
-		}
-		s.RunAll(10000)
-		return trace
-	}()
-	tickers := func() []string {
-		s := NewScheduler()
-		var trace []string
-		for i := 0; i < 5; i++ {
-			e := &tickEntity{s: s, trace: &trace, i: i, aLeft: 2 + i}
-			s.EveryBatchedTick(time.Minute, e, tickTagA)
-			s.EveryBatchedTick(time.Minute, e, tickTagR)
-		}
-		for i := 0; i < 3; i++ {
-			e := &tickEntity{s: s, trace: &trace, i: i}
-			s.EveryBatchedTick(5*time.Minute, e, tickTagB)
-		}
-		s.RunAll(10000)
-		return trace
-	}()
-	if len(closures) != len(tickers) {
-		t.Fatalf("closures fired %d, tickers fired %d", len(closures), len(tickers))
-	}
-	for i := range closures {
-		if closures[i] != tickers[i] {
-			t.Fatalf("firing %d diverges: closure %s, ticker %s", i, closures[i], tickers[i])
-		}
-	}
-}
-
-// TestEveryBatchedMixedForms pins that closures and Tickers subscribed
-// interleaved at one instant share a single batch and fire strictly in
-// subscription order — the form a subscriber uses must never affect
-// sequencing.
-func TestEveryBatchedMixedForms(t *testing.T) {
-	s := NewScheduler()
-	var trace []string
-	e0 := &tickEntity{s: s, trace: &trace, i: 0, aLeft: 2}
-	s.EveryBatched(time.Minute, func() bool {
-		trace = append(trace, fmt.Sprintf("c0@%d", s.Elapsed()/time.Second))
-		return s.Elapsed() < 2*time.Minute
-	})
-	s.EveryBatchedTick(time.Minute, e0, tickTagA)
-	s.EveryBatched(time.Minute, func() bool {
-		trace = append(trace, fmt.Sprintf("c1@%d", s.Elapsed()/time.Second))
-		return false
-	})
-	e1 := &tickEntity{s: s, trace: &trace, i: 1, aLeft: 3}
-	s.EveryBatchedTick(time.Minute, e1, tickTagA)
-	s.RunAll(1000)
-	want := []string{
-		"c0@60", "a0@60", "c1@60", "a1@60",
-		"c0@120", "a0@120", "a1@120",
-		"a1@180",
-	}
-	if len(trace) != len(want) {
-		t.Fatalf("trace = %v, want %v", trace, want)
-	}
-	for i := range want {
-		if trace[i] != want[i] {
-			t.Fatalf("trace[%d] = %s, want %s (full: %v)", i, trace[i], want[i], trace)
-		}
-	}
-}
-
-// TestEveryBatchedTickNoPerTickAllocs pins the point of the ticker
+// TestEveryBatchedTickNoPerTickAllocs pins the point of the Ticker
 // form: once a population's batch exists, ticking it allocates nothing
 // — the subscriber array is flat (Ticker, tag) pairs, with no closure
 // blocks to allocate or chase.
@@ -129,7 +47,7 @@ func TestEveryBatchedTickNoPerTickAllocs(t *testing.T) {
 	s := NewScheduler()
 	var fired int
 	for i := 0; i < 1024; i++ {
-		s.EveryBatchedTick(time.Minute, countTicker{&fired}, 0)
+		s.EveryBatched(time.Minute, countTicker{&fired}, 0)
 	}
 	s.RunFor(time.Minute) // warm: first tick drops the join key
 	allocs := testing.AllocsPerRun(32, func() {
@@ -146,3 +64,9 @@ func TestEveryBatchedTickNoPerTickAllocs(t *testing.T) {
 type countTicker struct{ n *int }
 
 func (c countTicker) BatchTick(uint8) bool { *c.n++; return true }
+
+// tickFunc adapts a closure to Ticker for tests that need a one-off
+// subscriber.
+type tickFunc func() bool
+
+func (f tickFunc) BatchTick(uint8) bool { return f() }

@@ -10,8 +10,11 @@
 //     numbers), so a run is bit-reproducible given the same inputs.
 //     The package tests keep the original container/heap queue as the
 //     executable specification the wheel is differentially tested
-//     against. EveryBatched multiplexes recurring per-entity timers that
-//     share a period and subscription instant onto one wheel event,
+//     against. The wheel's seven levels span the whole int64-nanosecond
+//     horizon, so every event has a bucket. Three calls schedule work:
+//     After (one-shot), Every (one recurring timer) and EveryBatched,
+//     which multiplexes recurring per-entity Ticker duties that share a
+//     period and subscription instant onto one wheel event,
 //     output-identically to individual Every timers.
 //   - RNG: a seeded PCG random stream with the helpers the experiments
 //     need (permutations, weighted coins, exponential inter-arrival

@@ -36,22 +36,14 @@ func (s *HeapScheduler) Elapsed() time.Duration { return s.now.Sub(Epoch) }
 // Len reports the number of pending events.
 func (s *HeapScheduler) Len() int { return s.pq.Len() }
 
-// At schedules fn to run at virtual time t, clamping past times to now.
-func (s *HeapScheduler) At(t time.Time, fn func()) {
-	if t.Before(s.now) {
-		t = s.now
-	}
-	s.seq++
-	heap.Push(&s.pq, &refEvent{at: t, seq: s.seq, fn: fn})
-}
-
 // After schedules fn to run d after the current virtual time. Negative
 // durations are clamped to zero.
 func (s *HeapScheduler) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	s.At(s.now.Add(d), fn)
+	s.seq++
+	heap.Push(&s.pq, &refEvent{at: s.now.Add(d), seq: s.seq, fn: fn})
 }
 
 // Every schedules fn to run every d while it returns true; non-positive

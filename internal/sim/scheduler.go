@@ -12,15 +12,16 @@ var Epoch = time.Date(2015, time.January, 14, 0, 0, 0, 0, time.UTC)
 
 // Timer-wheel geometry. Virtual times are nanoseconds since Epoch;
 // level L buckets are tickNS<<(wheelBits*L) wide and each level holds
-// wheelSlots of them, so the wheel spans ~4.6 virtual years before the
-// (practically unreachable) overflow list kicks in:
+// wheelSlots of them. Seven levels cover tickShift + 7·wheelBits = 63
+// bits, the whole int64-nanosecond horizon (~292 virtual years), so
+// every event has a bucket:
 //
-//	L0 ~2.1ms/slot, L1 ~134ms, L2 ~8.6s, L3 ~9.2min, L4 ~9.8h, L5 ~26d
+//	L0 ~2.1ms/slot, L1 ~134ms, L2 ~8.6s, L3 ~9.2min, L4 ~9.8h, L5 ~26d, L6 ~4.6y
 const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 6
+	wheelLevels = 7
 	tickShift   = 21 // 2^21 ns ≈ 2.1ms level-0 granularity
 )
 
@@ -56,25 +57,19 @@ type wheelLevel struct {
 type Scheduler struct {
 	nowNS int64
 	seq   uint64
-	n     int // total pending events (heap + wheel + overflow)
+	n     int // total pending events (heap + wheel)
 
 	// near holds every pending event with at < drainedUntil, ordered by
-	// (at, seq). All other events sit in wheel buckets or overflow.
+	// (at, seq). All other events sit in wheel buckets.
 	near         []*event
 	drainedUntil int64
 
 	levels [wheelLevels]wheelLevel
 
-	// nextBucket caches the earliest start time of any occupied bucket
-	// (or overflow minimum); maxInt64 when the wheel is empty. Events
-	// may be popped from the heap only while heapTop.at < nextBucket.
+	// nextBucket caches the earliest start time of any occupied bucket;
+	// maxInt64 when the wheel is empty. Events may be popped from the
+	// heap only while heapTop.at < nextBucket.
 	nextBucket int64
-
-	// overflow collects events beyond the top level's span. Effectively
-	// unreachable in real simulations (~4.6 virtual years) but kept
-	// correct for the differential tests' extreme random workloads.
-	overflow    *event
-	overflowMin int64
 
 	free *event // event arena freelist
 
@@ -85,7 +80,7 @@ const maxInt64 = int64(1<<63 - 1)
 
 // NewScheduler returns a scheduler whose clock starts at Epoch.
 func NewScheduler() *Scheduler {
-	return &Scheduler{nextBucket: maxInt64, overflowMin: maxInt64}
+	return &Scheduler{nextBucket: maxInt64}
 }
 
 // Now reports the current virtual time.
@@ -117,26 +112,12 @@ func (s *Scheduler) release(ev *event) {
 	s.free = ev
 }
 
-// At schedules fn to run at virtual time t. Scheduling in the past runs
-// the event at the current time (it still goes through the queue so that
-// ordering relative to other due events is stable). Times beyond the
-// int64-nanosecond horizon (~292 years after Epoch, where time.Time.Sub
-// itself saturates) clamp just below the horizon so the event still
-// fires rather than colliding with the internal maxInt64 sentinel.
-func (s *Scheduler) At(t time.Time, fn func()) {
-	at := t.Sub(Epoch).Nanoseconds()
-	if at == maxInt64 {
-		at = maxInt64 - 1
-	}
-	if at < s.nowNS {
-		at = s.nowNS
-	}
-	s.insert(s.newEvent(at, fn))
-}
-
-// After schedules fn to run d after the current virtual time. Negative
-// durations are clamped to zero; delays overflowing the int64 horizon
-// clamp like At.
+// After schedules fn to run d after the current virtual time. A negative
+// d runs the event at the current time (it still goes through the queue
+// so that ordering relative to other due events is stable). Delays past
+// the int64-nanosecond horizon (~292 years after Epoch) clamp just below
+// it, so the event still fires rather than colliding with the internal
+// maxInt64 sentinel.
 func (s *Scheduler) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -149,7 +130,8 @@ func (s *Scheduler) After(d time.Duration, fn func()) {
 }
 
 // insert places an event in the heap (when it lands inside the drained
-// horizon), a wheel bucket, or the overflow list.
+// horizon) or a wheel bucket. The top level spans the whole horizon, so
+// the loop always finds one.
 func (s *Scheduler) insert(ev *event) {
 	s.n++
 	if ev.at < s.drainedUntil {
@@ -173,20 +155,12 @@ func (s *Scheduler) insert(ev *event) {
 		base >>= wheelBits
 		slot >>= wheelBits
 	}
-	ev.next = s.overflow
-	s.overflow = ev
-	if ev.at < s.overflowMin {
-		s.overflowMin = ev.at
-		if ev.at < s.nextBucket {
-			s.nextBucket = ev.at
-		}
-	}
 }
 
 // recomputeNextBucket rescans the occupancy bitmaps for the earliest
 // bucket start; called after a drain empties a slot.
 func (s *Scheduler) recomputeNextBucket() {
-	s.nextBucket = s.overflowMin
+	s.nextBucket = maxInt64
 	base := s.drainedUntil >> tickShift
 	for l := 0; l < wheelLevels; l++ {
 		lv := &s.levels[l]
@@ -227,33 +201,7 @@ func (s *Scheduler) drainEarliest() {
 		base >>= wheelBits
 	}
 	if bestLevel < 0 {
-		// Wheel empty: flush the overflow list back through insert.
-		if s.overflow == nil {
-			s.nextBucket = maxInt64
-			return
-		}
-		list := s.overflow
-		s.overflow = nil
-		s.overflowMin = maxInt64
-		// Jump the horizon to the overflow's era so at least the
-		// earliest event fits the wheel on reinsertion.
-		min := maxInt64
-		for ev := list; ev != nil; ev = ev.next {
-			if ev.at < min {
-				min = ev.at
-			}
-		}
-		if aligned := min >> tickShift << tickShift; aligned > s.drainedUntil {
-			s.drainedUntil = aligned
-		}
-		for list != nil {
-			ev := list
-			list = list.next
-			ev.next = nil
-			s.n-- // insert re-counts
-			s.insert(ev)
-		}
-		s.recomputeNextBucket()
+		s.nextBucket = maxInt64
 		return
 	}
 
@@ -267,8 +215,13 @@ func (s *Scheduler) drainEarliest() {
 	// Advance the drained horizon: a level-0 drain proves everything
 	// before the bucket's end is now in the heap; a higher-level drain
 	// only proves everything before its start.
+	// The last level-0 bucket's end is 2^63, which saturates so that
+	// later events go straight to the heap instead of wrapping.
 	if bestLevel == 0 {
 		s.drainedUntil = bestStart + 1<<tickShift
+		if s.drainedUntil < bestStart {
+			s.drainedUntil = maxInt64
+		}
 	} else if bestStart > s.drainedUntil {
 		s.drainedUntil = bestStart
 	}

@@ -35,10 +35,9 @@ func TestSchedulerOrdersByTime(t *testing.T) {
 func TestSchedulerSimultaneousEventsAreFIFO(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	at := s.Now().Add(time.Second)
 	for i := 0; i < 100; i++ {
 		i := i
-		s.At(at, func() { order = append(order, i) })
+		s.After(time.Second, func() { order = append(order, i) })
 	}
 	s.RunAll(0)
 	for i := 0; i < 100; i++ {
@@ -63,7 +62,7 @@ func TestSchedulerPastEventsRunNow(t *testing.T) {
 	s := NewScheduler()
 	s.RunFor(time.Hour)
 	ran := false
-	s.At(Epoch, func() { ran = true }) // in the past
+	s.After(-time.Hour, func() { ran = true }) // back to Epoch, in the past
 	s.Step()
 	if !ran {
 		t.Fatal("past-scheduled event never ran")

@@ -10,7 +10,6 @@ import (
 type timeline interface {
 	Now() time.Time
 	Len() int
-	At(time.Time, func())
 	After(time.Duration, func())
 	Every(time.Duration, func() bool)
 	Step() bool
@@ -26,9 +25,9 @@ var (
 
 // driveRandomWorkload runs one randomized mixed workload against a
 // timeline and returns the trace of (firing id, firing time) pairs. The
-// workload mixes At/After/Every, past-time clamps, same-tick pileups,
+// workload mixes After/Every, negative-delay clamps, same-tick pileups,
 // events scheduled from inside events, and far-future outliers that
-// exercise the wheel's higher levels and overflow list.
+// exercise the wheel's top levels.
 func driveRandomWorkload(s timeline, seed uint64) []string {
 	rng := NewRNG(seed)
 	var trace []string
@@ -53,7 +52,7 @@ func driveRandomWorkload(s timeline, seed uint64) []string {
 		case 4:
 			return -time.Duration(rng.Intn(10)) * time.Second // negative clamp
 		default:
-			return time.Duration(rng.Intn(3650*24)) * time.Hour // years out: top levels / overflow
+			return time.Duration(rng.Intn(3650*24)) * time.Hour // years out: top levels
 		}
 	}
 
@@ -62,9 +61,8 @@ func driveRandomWorkload(s timeline, seed uint64) []string {
 		case 0:
 			s.After(randDelay(), record("after"))
 		case 1:
-			// At with a chance of landing in the past (clamped to now).
-			t := s.Now().Add(randDelay())
-			s.At(t, record("at"))
+			// A delay with a chance of pointing into the past (runs now).
+			s.After(randDelay(), record("past"))
 		case 2:
 			left := 1 + rng.Intn(4)
 			fire := record("every")
@@ -80,7 +78,7 @@ func driveRandomWorkload(s timeline, seed uint64) []string {
 			s.After(d, func() {
 				trace = append(trace, fmt.Sprintf("outer@%d", s.Now().UnixNano()))
 				s.After(0, inner)
-				s.At(s.Now().Add(-time.Hour), record("past-child"))
+				s.After(-time.Hour, record("past-child"))
 			})
 		}
 		// Interleave scheduling with partial draining, as simulations do.
@@ -112,9 +110,9 @@ func TestWheelMatchesHeapScheduler(t *testing.T) {
 	}
 }
 
-// TestWheelFarFutureOverflow pins the overflow path: events beyond the
-// wheel's ~4.6-year span must still fire, in order.
-func TestWheelFarFutureOverflow(t *testing.T) {
+// TestWheelFarFutureTopLevel pins the top wheel level: events beyond
+// level 5's ~4.6-year span must still fire, in order.
+func TestWheelFarFutureTopLevel(t *testing.T) {
 	s := NewScheduler()
 	var order []int
 	s.After(10*365*24*time.Hour, func() { order = append(order, 2) })
@@ -134,16 +132,20 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	}
 }
 
-// TestWheelHorizonClamp pins the int64 saturation edge: a time so far
-// out that time.Time.Sub saturates (or an After summing past the
-// horizon) must still fire instead of wedging in the overflow list.
+// TestWheelHorizonClamp pins the int64 saturation edge: a delay landing
+// exactly on the horizon, or summing past it from a later clock, must
+// still fire (just below the horizon) instead of wedging the wheel.
 func TestWheelHorizonClamp(t *testing.T) {
 	s := NewScheduler()
 	fired := 0
-	s.At(time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC), func() { fired++ })
+	s.After(time.Duration(maxInt64), func() { fired++ })
+	s.RunFor(time.Hour)
 	s.After(time.Duration(maxInt64), func() { fired++ })
 	if n := s.RunAll(0); n != 2 || fired != 2 {
 		t.Fatalf("ran %d events, fired %d, want 2/2 (Len now %d)", n, fired, s.Len())
+	}
+	if got := s.Elapsed(); got != time.Duration(maxInt64-1) {
+		t.Fatalf("elapsed = %d, want %d", got, maxInt64-1)
 	}
 }
 
@@ -168,42 +170,39 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestEveryBatchedMatchesEvery pins the batched-tick contract: a batch
-// fires its subscribers at the same instants, in subscription order,
-// honoring the per-subscriber stop return, exactly like n individual
-// Every timers. The subscription pattern deliberately interleaves two
-// logical same-period groups per entity ("a" and "r", like a bot's
-// hourly republish and rotation timers) plus a different period whose
-// firings coincide every fifth tick — the orders that would drift if
-// batches were keyed per call site or mis-sequenced across groups.
+// fires its Ticker subscribers at the same instants, in subscription
+// order, honoring the per-subscriber stop return, exactly like
+// individual closure Every timers running the same duties. The
+// subscription pattern deliberately interleaves two logical same-period
+// duties per entity ("a" and "r", like a bot's ping and gossip timers)
+// plus a different period whose firings coincide every fifth tick —
+// the orders that would drift if batches were keyed per call site or
+// mis-sequenced across groups.
 func TestEveryBatchedMatchesEvery(t *testing.T) {
-	run := func(schedule func(s *Scheduler, period time.Duration, fn func() bool)) []string {
+	run := func(schedule func(s *Scheduler, d time.Duration, e *tickEntity, tag uint8)) []string {
 		s := NewScheduler()
 		var trace []string
 		for i := 0; i < 5; i++ {
-			i := i
-			left := 2 + i
-			schedule(s, time.Minute, func() bool {
-				trace = append(trace, fmt.Sprintf("a%d@%d", i, s.Elapsed()/time.Second))
-				left--
-				return left > 0
-			})
-			schedule(s, time.Minute, func() bool {
-				trace = append(trace, fmt.Sprintf("r%d@%d", i, s.Elapsed()/time.Second))
-				return s.Elapsed() < 4*time.Minute
-			})
+			e := &tickEntity{s: s, trace: &trace, i: i, aLeft: 2 + i}
+			schedule(s, time.Minute, e, tickTagA)
+			schedule(s, time.Minute, e, tickTagR)
 		}
 		for i := 0; i < 3; i++ {
-			i := i
-			schedule(s, 5*time.Minute, func() bool {
-				trace = append(trace, fmt.Sprintf("b%d@%d", i, s.Elapsed()/time.Second))
-				return s.Elapsed() < 20*time.Minute
-			})
+			schedule(s, 5*time.Minute, &tickEntity{s: s, trace: &trace, i: i}, tickTagB)
 		}
 		s.RunAll(10000)
 		return trace
 	}
-	individual := run(func(s *Scheduler, d time.Duration, fn func() bool) { s.Every(d, fn) })
-	batched := run(func(s *Scheduler, d time.Duration, fn func() bool) { s.EveryBatched(d, fn) })
+	individual := run(func(s *Scheduler, d time.Duration, e *tickEntity, tag uint8) {
+		s.Every(d, func() bool { return e.BatchTick(tag) })
+	})
+	batched := run(func(s *Scheduler, d time.Duration, e *tickEntity, tag uint8) {
+		s.EveryBatched(d, e, tag)
+	})
+	// a: 2+3+4+5+6 firings; r: 4 each (1m..4m); b: 4 each (5m..20m).
+	if want := 20 + 5*4 + 3*4; len(individual) != want {
+		t.Fatalf("individual fired %d, want %d", len(individual), want)
+	}
 	if len(individual) != len(batched) {
 		t.Fatalf("individual fired %d, batched fired %d", len(individual), len(batched))
 	}
@@ -223,23 +222,23 @@ func TestEveryBatchedMatchesEvery(t *testing.T) {
 func TestEveryBatchedLateJoiner(t *testing.T) {
 	s := NewScheduler()
 	var trace []string
-	s.EveryBatched(time.Minute, func() bool {
+	s.EveryBatched(time.Minute, tickFunc(func() bool {
 		trace = append(trace, fmt.Sprintf("first@%v", s.Elapsed()))
 		if s.Elapsed() == time.Minute {
 			// Same instant as the batch tick: must first fire at 2m.
-			s.EveryBatched(time.Minute, func() bool {
+			s.EveryBatched(time.Minute, tickFunc(func() bool {
 				trace = append(trace, fmt.Sprintf("joined@%v", s.Elapsed()))
 				return false
-			})
+			}), 0)
 		}
 		return s.Elapsed() < 3*time.Minute
-	})
+	}), 0)
 	s.RunFor(30 * time.Second)
 	// Off-phase subscriber: period 1m starting at 30s → fires at 1m30s.
-	s.EveryBatched(time.Minute, func() bool {
+	s.EveryBatched(time.Minute, tickFunc(func() bool {
 		trace = append(trace, fmt.Sprintf("offphase@%v", s.Elapsed()))
 		return false
-	})
+	}), 0)
 	s.RunAll(1000)
 	want := []string{"first@1m0s", "offphase@1m30s", "joined@2m0s", "first@2m0s", "first@3m0s"}
 	if len(trace) != len(want) {
@@ -299,7 +298,7 @@ func BenchmarkSchedulerBatchedTicks(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
 		s := NewScheduler()
 		for i := 0; i < bots; i++ {
-			s.EveryBatched(time.Minute, func() bool { return true })
+			s.EveryBatched(time.Minute, tickFunc(func() bool { return true }), 0)
 		}
 		b.ResetTimer()
 		b.ReportAllocs()

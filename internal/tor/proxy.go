@@ -547,14 +547,18 @@ func (p *OnionProxy) Host(identity *Identity, handler func(*Conn)) (*HiddenServi
 	p.services[sid] = hs
 	// Batched: every service hosted at the same instant shares one
 	// republish/repair wheel event per consensus interval.
-	p.net.sched.EveryBatched(p.net.cfg.ConsensusInterval, func() bool {
-		if hs.stopped {
-			return false
-		}
-		hs.maybeRepublish()
-		return true
-	})
+	p.net.sched.EveryBatched(p.net.cfg.ConsensusInterval, hs, 0)
 	return hs, nil
+}
+
+// BatchTick runs the service's per-consensus republish/repair duty
+// (sim.Ticker); a stopped service unsubscribes.
+func (hs *HiddenService) BatchTick(uint8) bool {
+	if hs.stopped {
+		return false
+	}
+	hs.maybeRepublish()
+	return true
 }
 
 // Onion reports the service hostname.
