@@ -244,39 +244,41 @@ func run() error {
 // churnStr is parsed as an inline churn.Spec and handed to every task
 // (experiments without a churn phase ignore it); faultsStr does the
 // same with an inline churn.FaultSpec for the fault-plane experiments.
+// The selection is checked as a one-point sweep (Sweep.Validate), so an
+// unknown ID, or a -churn or -faults spec that no selected experiment
+// reads, is an error rather than a silent no-op.
 func buildTasks(exp string, quick bool, seed uint64, churnStr, faultsStr string) ([]experiment.Task, error) {
-	ids := experiment.IDs()
+	sw := experiment.Sweep{Experiments: experiment.IDs()}
 	if exp != "all" {
-		ids = strings.Split(exp, ",")
-		for _, id := range ids {
-			if _, ok := experiment.Lookup(id); !ok {
-				return nil, fmt.Errorf("unknown experiment %q", id)
-			}
-		}
+		sw.Experiments = strings.Split(exp, ",")
 	}
-	var cspec *churn.Spec
 	if churnStr != "" {
 		spec, err := churn.ParseSpec([]byte(churnStr))
 		if err != nil {
 			return nil, fmt.Errorf("-churn: %w", err)
 		}
-		cspec = &spec
+		sw.Churn = []churn.Spec{spec}
 	}
-	var fspec *churn.FaultSpec
 	if faultsStr != "" {
 		spec, err := churn.ParseFaultSpec([]byte(faultsStr))
 		if err != nil {
 			return nil, fmt.Errorf("-faults: %w", err)
 		}
-		fspec = &spec
+		sw.Faults = []churn.FaultSpec{spec}
 	}
-	tasks := make([]experiment.Task, 0, len(ids))
-	for _, id := range ids {
-		tasks = append(tasks, experiment.Task{
-			Label:      id,
-			Experiment: id,
-			Params:     experiment.Params{Quick: quick, Seed: seed, Churn: cspec, Faults: fspec},
-		})
+	if err := sw.Validate(); err != nil {
+		return nil, err
+	}
+	params := experiment.Params{Quick: quick, Seed: seed}
+	if len(sw.Churn) > 0 {
+		params.Churn = &sw.Churn[0]
+	}
+	if len(sw.Faults) > 0 {
+		params.Faults = &sw.Faults[0]
+	}
+	tasks := make([]experiment.Task, 0, len(sw.Experiments))
+	for _, id := range sw.Experiments {
+		tasks = append(tasks, experiment.Task{Label: id, Experiment: id, Params: params})
 	}
 	return tasks, nil
 }

@@ -116,3 +116,37 @@ func TestBuildTasksInlineFaultsSpec(t *testing.T) {
 		t.Fatal("malformed -faults accepted")
 	}
 }
+
+// TestBuildTasksRejectsUnreadSpecs pins that -churn and -faults fail
+// when no selected experiment reads them, instead of running and
+// printing what the run without the flag prints. A selection with at
+// least one reader (churn-repair, or all) still takes the spec.
+func TestBuildTasksRejectsUnreadSpecs(t *testing.T) {
+	const churnSpec = `{"process":"poisson","leave":8}`
+	const faultsSpec = `{"outage_frac":0.3,"outage_at_h":2}`
+	for _, c := range []struct {
+		exp, churn, faults, wantErr string
+	}{
+		{exp: "fig3", churn: churnSpec, wantErr: "reads the churn axis"},
+		{exp: "fig5", faults: faultsSpec, wantErr: "reads the faults axis"},
+		{exp: "churn-repair", churn: churnSpec},
+		{exp: "all", churn: churnSpec},
+	} {
+		tasks, err := buildTasks(c.exp, true, 1, c.churn, c.faults)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("-exp %s -churn %q -faults %q: err = %v, want %q", c.exp, c.churn, c.faults, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-exp %s -churn %q: %v", c.exp, c.churn, err)
+			continue
+		}
+		for _, task := range tasks {
+			if task.Params.Churn == nil || task.Params.Churn.Leave != 8 {
+				t.Errorf("-exp %s: task %s did not get the -churn spec", c.exp, task.Label)
+			}
+		}
+	}
+}
