@@ -11,7 +11,6 @@
 // the simulator design and the determinism contract, and bench_test.go
 // for the per-figure regeneration harness.
 //
-// The implementation lives under internal/; cmd/onionsim and
-// cmd/soapctl are the entry points, and examples/ holds runnable
-// walkthroughs.
+// The implementation lives under internal/; cmd/onionsim is the entry
+// point, and examples/ holds runnable walkthroughs.
 package onionbots
