@@ -85,12 +85,18 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCell -fuzztime=$(FUZZTIME) ./internal/tor/
 
 # determinism asserts the scheduler/runner contract: -exp all output is
-# byte-identical at any -parallel value.
+# byte-identical at any -parallel value. The text tables round, so the
+# full-precision -json document is compared too, at two seeds.
 determinism:
 	$(GO) build -o /tmp/onionsim-ci ./cmd/onionsim
 	/tmp/onionsim-ci -exp all -quick -seed 1 -parallel 1 > /tmp/onionsim-p1.txt
 	/tmp/onionsim-ci -exp all -quick -seed 1 -parallel 4 > /tmp/onionsim-p4.txt
 	cmp /tmp/onionsim-p1.txt /tmp/onionsim-p4.txt
+	for s in 1 101; do \
+		/tmp/onionsim-ci -exp all -quick -seed $$s -parallel 1 -json > /tmp/onionsim-p1.json || exit 1; \
+		/tmp/onionsim-ci -exp all -quick -seed $$s -parallel 4 -json > /tmp/onionsim-p4.json || exit 1; \
+		cmp /tmp/onionsim-p1.json /tmp/onionsim-p4.json || exit 1; \
+	done
 
 sweep-smoke:
 	$(GO) build -o /tmp/onionsim-ci ./cmd/onionsim
