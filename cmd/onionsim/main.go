@@ -20,7 +20,8 @@
 // "all"; -list prints the registry (experiments and scenarios); -churn
 // hands every -exp task an inline churn spec (see internal/churn and
 // docs/EXPERIMENTS.md), and -faults does the same with an
-// infrastructure fault-plane spec (see churn.FaultSpec). -scenario runs
+// infrastructure fault-plane spec (see churn.FaultSpec); either is an
+// error when no selected experiment reads it. -scenario runs
 // named questions from the internal/scenario library — each a sweep
 // plus a machine-checked expectation block — and exits non-zero if any
 // expectation fails, which is what `make scenario-smoke` gates CI on.
