@@ -99,6 +99,21 @@ func TestBuildTasksInlineChurnSpec(t *testing.T) {
 	if _, err := buildTasks("churn-repair", true, 1, `not json`, ""); err == nil {
 		t.Fatal("malformed -churn accepted")
 	}
+	// A spec no selected experiment reads is an error, not a no-op; a
+	// selection with one reader hands it to every task.
+	if _, err := buildTasks("fig3", true, 1, `{"process":"poisson","leave":8}`, ""); err == nil ||
+		!strings.Contains(err.Error(), "reads the churn axis") {
+		t.Fatalf("-churn accepted for fig3: %v", err)
+	}
+	tasks, err = buildTasks("all", true, 1, `{"process":"poisson","leave":8}`, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range tasks {
+		if task.Params.Churn == nil || task.Params.Churn.Leave != 8 {
+			t.Fatalf("-exp all: task %s did not get the -churn spec", task.Label)
+		}
+	}
 }
 
 func TestBuildTasksInlineFaultsSpec(t *testing.T) {
@@ -115,38 +130,8 @@ func TestBuildTasksInlineFaultsSpec(t *testing.T) {
 	if _, err := buildTasks("hsdir-outage", true, 1, "", `not json`); err == nil {
 		t.Fatal("malformed -faults accepted")
 	}
-}
-
-// TestBuildTasksRejectsUnreadSpecs pins that -churn and -faults fail
-// when no selected experiment reads them, instead of running and
-// printing what the run without the flag prints. A selection with at
-// least one reader (churn-repair, or all) still takes the spec.
-func TestBuildTasksRejectsUnreadSpecs(t *testing.T) {
-	const churnSpec = `{"process":"poisson","leave":8}`
-	const faultsSpec = `{"outage_frac":0.3,"outage_at_h":2}`
-	for _, c := range []struct {
-		exp, churn, faults, wantErr string
-	}{
-		{exp: "fig3", churn: churnSpec, wantErr: "reads the churn axis"},
-		{exp: "fig5", faults: faultsSpec, wantErr: "reads the faults axis"},
-		{exp: "churn-repair", churn: churnSpec},
-		{exp: "all", churn: churnSpec},
-	} {
-		tasks, err := buildTasks(c.exp, true, 1, c.churn, c.faults)
-		if c.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("-exp %s -churn %q -faults %q: err = %v, want %q", c.exp, c.churn, c.faults, err, c.wantErr)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("-exp %s -churn %q: %v", c.exp, c.churn, err)
-			continue
-		}
-		for _, task := range tasks {
-			if task.Params.Churn == nil || task.Params.Churn.Leave != 8 {
-				t.Errorf("-exp %s: task %s did not get the -churn spec", c.exp, task.Label)
-			}
-		}
+	if _, err := buildTasks("fig5", true, 1, "", `{"outage_frac":0.3,"outage_at_h":2}`); err == nil ||
+		!strings.Contains(err.Error(), "reads the faults axis") {
+		t.Fatalf("-faults accepted for fig5: %v", err)
 	}
 }

@@ -182,6 +182,7 @@ func (s *Scheduler) recomputeNextBucket() {
 // level-0 buckets cascade into the near-term heap, higher levels
 // redistribute into lower wheels. Ties across levels drain the highest
 // level first so its events land in lower buckets before those drain.
+// peek calls it only while nextBucket names an occupied bucket.
 func (s *Scheduler) drainEarliest() {
 	// Locate the earliest bucket, preferring the highest level on ties.
 	bestStart := maxInt64
@@ -200,11 +201,6 @@ func (s *Scheduler) drainEarliest() {
 		}
 		base >>= wheelBits
 	}
-	if bestLevel < 0 {
-		s.nextBucket = maxInt64
-		return
-	}
-
 	shift := tickShift + uint(bestLevel)*wheelBits
 	idx := (bestStart >> shift) & wheelMask
 	lv := &s.levels[bestLevel]
