@@ -39,10 +39,10 @@ func (e *tickEntity) BatchTick(tag uint8) bool {
 	}
 }
 
-// TestEveryBatchedTickNoPerTickAllocs pins the point of the Ticker
-// form: once a population's batch exists, ticking it allocates nothing
-// — the subscriber array is flat (Ticker, tag) pairs, with no closure
-// blocks to allocate or chase.
+// TestEveryBatchedTickNoPerTickAllocs pins the point of Ticker
+// subscribers: once a population's batch exists, ticking it allocates
+// nothing — the subscriber array is flat (Ticker, tag) pairs, with no
+// closure blocks to allocate or chase.
 func TestEveryBatchedTickNoPerTickAllocs(t *testing.T) {
 	s := NewScheduler()
 	var fired int
