@@ -87,12 +87,12 @@ func (s *Scheduler) EveryBatched(d time.Duration, t Ticker, tag uint8) {
 			first = false
 			delete(s.batches, key)
 		}
-		// Compact in place with an explicit index: a subscriber may
-		// append to b.subs mid-iteration (a same-instant EveryBatched
-		// call from inside a tick); re-reading len each step keeps it.
+		// Compact in place, dropping subscribers that return false. No
+		// subscriber can join mid-iteration: the lookup entry is gone by
+		// the first tick, so a same-instant EveryBatched call from inside
+		// a tick starts a new batch.
 		w := 0
-		for i := 0; i < len(b.subs); i++ {
-			sub := b.subs[i]
+		for _, sub := range b.subs {
 			if sub.t.BatchTick(sub.tag) {
 				b.subs[w] = sub
 				w++
