@@ -98,10 +98,16 @@ determinism:
 		cmp /tmp/onionsim-p1.json /tmp/onionsim-p4.json || exit 1; \
 	done
 
+# sweep-smoke byte-compares each grid's -json document at -parallel 1
+# vs 4.
 sweep-smoke:
 	$(GO) build -o /tmp/onionsim-ci ./cmd/onionsim
-	/tmp/onionsim-ci -sweep examples/sweep/fig6-grid.json -parallel 4 -json > /dev/null
-	/tmp/onionsim-ci -sweep examples/sweep/fig5-fig6-quick.json -parallel 4 -json > /dev/null
+	/tmp/onionsim-ci -sweep examples/sweep/fig6-grid.json -parallel 1 -json > /tmp/onionsim-fig6-p1.json
+	/tmp/onionsim-ci -sweep examples/sweep/fig6-grid.json -parallel 4 -json > /tmp/onionsim-fig6-p4.json
+	cmp /tmp/onionsim-fig6-p1.json /tmp/onionsim-fig6-p4.json
+	/tmp/onionsim-ci -sweep examples/sweep/fig5-fig6-quick.json -parallel 1 -json > /tmp/onionsim-fig56-p1.json
+	/tmp/onionsim-ci -sweep examples/sweep/fig5-fig6-quick.json -parallel 4 -json > /tmp/onionsim-fig56-p4.json
+	cmp /tmp/onionsim-fig56-p1.json /tmp/onionsim-fig56-p4.json
 	# The churn grid doubles as the dynamic-membership determinism gate:
 	# the full JSON document must be byte-identical at any worker count.
 	/tmp/onionsim-ci -sweep examples/sweep/churn-grid.json -parallel 1 -json > /tmp/onionsim-churn-p1.json

@@ -10,7 +10,6 @@
 //   - fixed-size, uniform-looking sealed cells for all bot-to-bot
 //     traffic, so relaying bots can distinguish neither the source, nor
 //     the destination, nor the nature of a message;
-//   - group keys for encrypted multicast;
 //   - botnet-for-rent tokens: master-signed renter certificates with an
 //     expiry and a command whitelist;
 //   - replay protection (timestamp window plus nonce cache), the

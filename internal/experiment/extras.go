@@ -155,16 +155,8 @@ func RunHSDirAttack(seed uint64) (*Result, error) {
 	sid := id.ServiceID()
 
 	// Pre-position malicious relays for the post-bootstrap period.
-	future := n.Now().Add(26 * time.Hour)
-	for r := 0; r < tor.NumReplicas; r++ {
-		descID := tor.ComputeDescriptorID(sid, nil, r, future)
-		for _, fp := range tor.PositionFingerprints(descID, tor.HSDirsPerReplica) {
-			relay, err := n.InjectRelayAtFingerprint(fp)
-			if err != nil {
-				return nil, err
-			}
-			relay.SetMalicious(true)
-		}
+	if _, err := tor.OccupyDescriptorRing(n, sid, nil, n.Now().Add(26*time.Hour)); err != nil {
+		return nil, err
 	}
 	if err := n.Bootstrap(20); err != nil {
 		return nil, err

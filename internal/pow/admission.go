@@ -197,36 +197,3 @@ func (a *Admission) gc(now time.Time) {
 	}
 	a.accepts = kept
 }
-
-// RateLimiter delays acceptances proportionally to peer-list size
-// (the second Section VII-A mechanism).
-type RateLimiter struct {
-	// BasePerPeer is the required gap per existing peer. Default 1m.
-	BasePerPeer time.Duration
-	last        time.Time
-	primed      bool
-}
-
-// NewRateLimiter builds a limiter.
-func NewRateLimiter(basePerPeer time.Duration) *RateLimiter {
-	if basePerPeer == 0 {
-		basePerPeer = time.Minute
-	}
-	return &RateLimiter{BasePerPeer: basePerPeer}
-}
-
-// Allow reports whether another peer may be accepted now, given the
-// current peer count, and records the acceptance when it is.
-func (r *RateLimiter) Allow(now time.Time, peerCount int) bool {
-	if !r.primed {
-		r.primed = true
-		r.last = now
-		return true
-	}
-	wait := r.BasePerPeer * time.Duration(peerCount)
-	if now.Sub(r.last) < wait {
-		return false
-	}
-	r.last = now
-	return true
-}

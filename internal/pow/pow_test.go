@@ -188,21 +188,6 @@ func TestAdmissionEscalates(t *testing.T) {
 	}
 }
 
-func TestRateLimiterScalesWithPeerCount(t *testing.T) {
-	rl := NewRateLimiter(time.Minute)
-	now := time.Date(2015, 1, 14, 12, 0, 0, 0, time.UTC)
-	if !rl.Allow(now, 5) {
-		t.Fatal("first acceptance must pass")
-	}
-	// 5 peers -> 5 minute gap.
-	if rl.Allow(now.Add(4*time.Minute), 5) {
-		t.Fatal("accepted before the scaled delay elapsed")
-	}
-	if !rl.Allow(now.Add(6*time.Minute), 5) {
-		t.Fatal("rejected after the delay elapsed")
-	}
-}
-
 func BenchmarkSolve12Bits(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Solve([]byte{byte(i), byte(i >> 8)}, 12)

@@ -47,17 +47,17 @@ func incrementFingerprint(f Fingerprint) Fingerprint {
 }
 
 // OccupyDescriptorRing injects HSDirsPerReplica adversarial relays for
-// each replica of the service's current descriptor ids and marks them
-// malicious (they will accept but never serve the descriptor). It
+// each replica of the service's descriptor ids at time at and marks
+// them malicious (they will accept but never serve the descriptor). It
 // returns the injected relays. The relays still need Config.HSDirUptime
 // of uptime before a consensus grants them the flag — the paper's "at
-// least 25 hours before" constraint — so callers must advance time and
-// republish the consensus before the denial takes effect.
-func OccupyDescriptorRing(n *Network, sid ServiceID, cookie []byte) ([]*Relay, error) {
-	now := n.Now()
+// least 25 hours before" constraint — so an adversary positions for a
+// descriptor period at least that far ahead, and callers must advance
+// time and republish the consensus before the denial takes effect.
+func OccupyDescriptorRing(n *Network, sid ServiceID, cookie []byte, at time.Time) ([]*Relay, error) {
 	var injected []*Relay
 	for r := 0; r < NumReplicas; r++ {
-		descID := ComputeDescriptorID(sid, cookie, r, now)
+		descID := ComputeDescriptorID(sid, cookie, r, at)
 		for _, fp := range PositionFingerprints(descID, HSDirsPerReplica) {
 			relay, err := n.InjectRelayAtFingerprint(fp)
 			if err != nil {

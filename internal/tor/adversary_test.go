@@ -21,7 +21,7 @@ func TestOccupyDescriptorRingNeedsUptime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	injected, err := OccupyDescriptorRing(n, id.ServiceID(), nil)
+	injected, err := OccupyDescriptorRing(n, id.ServiceID(), nil, n.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,18 +50,9 @@ func TestDescriptorDenialWithPrePositionedRelays(t *testing.T) {
 
 	// Bootstrap will advance the clock by HSDirUptime+1h = 26h; position
 	// the malicious relays for the descriptor ids current at that time.
-	future := n.Now().Add(26 * time.Hour)
-	var adversarial []*Relay
-	for r := 0; r < NumReplicas; r++ {
-		descID := ComputeDescriptorID(sid, nil, r, future)
-		for _, fp := range PositionFingerprints(descID, HSDirsPerReplica) {
-			relay, err := n.InjectRelayAtFingerprint(fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			relay.SetMalicious(true)
-			adversarial = append(adversarial, relay)
-		}
+	adversarial, err := OccupyDescriptorRing(n, sid, nil, n.Now().Add(26*time.Hour))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := n.Bootstrap(20); err != nil {
 		t.Fatal(err)

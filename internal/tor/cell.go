@@ -75,17 +75,10 @@ type Cell struct {
 // payload.
 var ErrCellTooLarge = errors.New("tor: cell payload exceeds MaxCellPayload")
 
-// Encode renders the cell into a fixed 512-byte array, zero padded. The
-// padding keeps every cell the same size on the wire.
-func (c *Cell) Encode() ([CellSize]byte, error) {
-	var out [CellSize]byte
-	err := c.encodeInto(&out)
-	return out, err
-}
-
-// encodeInto renders the cell into a caller-provided wire buffer,
-// zeroing the padding tail — the allocation-free form the data plane
-// uses with stack scratch buffers.
+// encodeInto renders the cell into a caller-provided fixed 512-byte
+// wire buffer, zeroing the padding tail so every cell is the same size
+// on the wire — the allocation-free form the data plane uses with stack
+// scratch buffers.
 func (c *Cell) encodeInto(wire *[CellSize]byte) error {
 	if len(c.Payload) > MaxCellPayload {
 		return fmt.Errorf("%w: %d bytes", ErrCellTooLarge, len(c.Payload))
@@ -102,21 +95,10 @@ func (c *Cell) encodeInto(wire *[CellSize]byte) error {
 	return nil
 }
 
-// DecodeCell parses a fixed-size wire cell into a freshly allocated
-// Cell whose payload is independent of raw.
-func DecodeCell(raw [CellSize]byte) (*Cell, error) {
-	c := &Cell{}
-	if err := decodeCellView(c, &raw); err != nil {
-		return nil, err
-	}
-	c.Payload = append([]byte(nil), c.Payload...)
-	return c, nil
-}
-
 // decodeCellView parses wire into c with c.Payload aliasing wire's
 // storage. The view is only valid while wire is unmodified; the data
 // plane processes cells synchronously and copies any payload bytes it
-// retains, so terminal handling never needs the DecodeCell copy.
+// retains.
 func decodeCellView(c *Cell, wire *[CellSize]byte) error {
 	length := binary.BigEndian.Uint16(wire[10:12])
 	if int(length) > MaxCellPayload {

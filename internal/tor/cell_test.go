@@ -6,41 +6,52 @@ import (
 	"testing/quick"
 )
 
+// sameCell reports whether two cells carry the same header and payload
+// bytes (payload views alias different wire buffers).
+func sameCell(a, b *Cell) bool {
+	return a.CircID == b.CircID && a.Cmd == b.Cmd && a.Flags == b.Flags &&
+		bytes.Equal(a.Payload, b.Payload)
+}
+
 func TestCellRoundTrip(t *testing.T) {
 	c := &Cell{CircID: 0xdeadbeef, Cmd: CmdData, Flags: flagMore, Payload: []byte("hello onion")}
-	wire, err := c.Encode()
-	if err != nil {
+	var wire [CellSize]byte
+	if err := c.encodeInto(&wire); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeCell(wire)
-	if err != nil {
+	var got Cell
+	if err := decodeCellView(&got, &wire); err != nil {
 		t.Fatal(err)
 	}
-	if got.CircID != c.CircID || got.Cmd != c.Cmd || got.Flags != c.Flags ||
-		!bytes.Equal(got.Payload, c.Payload) {
+	if !sameCell(&got, c) {
 		t.Fatalf("round trip mismatch: %+v != %+v", got, c)
 	}
 }
 
+// TestCellFixedSize: a short cell encoded over a buffer that held a
+// full one leaves no stale bytes in the padding, so the wire form of a
+// cell depends on the cell alone.
 func TestCellFixedSize(t *testing.T) {
 	small := &Cell{CircID: 1, Cmd: CmdData, Payload: []byte("x")}
 	big := &Cell{CircID: 1, Cmd: CmdData, Payload: bytes.Repeat([]byte("y"), MaxCellPayload)}
-	ws, err := small.Encode()
-	if err != nil {
+	var wire [CellSize]byte
+	if err := big.encodeInto(&wire); err != nil {
 		t.Fatal(err)
 	}
-	wb, err := big.Encode()
-	if err != nil {
+	if err := small.encodeInto(&wire); err != nil {
 		t.Fatal(err)
 	}
-	if len(ws) != CellSize || len(wb) != CellSize {
-		t.Fatal("cells are not fixed size")
+	for i, b := range wire[cellHeaderSize+len(small.Payload):] {
+		if b != 0 {
+			t.Fatalf("padding byte %d = %#x, want 0", cellHeaderSize+len(small.Payload)+i, b)
+		}
 	}
 }
 
 func TestCellRejectsOversizedPayload(t *testing.T) {
 	c := &Cell{Payload: make([]byte, MaxCellPayload+1)}
-	if _, err := c.Encode(); err == nil {
+	var wire [CellSize]byte
+	if err := c.encodeInto(&wire); err == nil {
 		t.Fatal("oversized payload accepted")
 	}
 }
@@ -49,7 +60,8 @@ func TestDecodeCellRejectsBadLength(t *testing.T) {
 	var wire [CellSize]byte
 	wire[10] = 0xff // declared length 0xff00 > MaxCellPayload
 	wire[11] = 0x00
-	if _, err := DecodeCell(wire); err == nil {
+	var c Cell
+	if err := decodeCellView(&c, &wire); err == nil {
 		t.Fatal("bad declared length accepted")
 	}
 }
@@ -60,16 +72,15 @@ func TestCellPropertyRoundTrip(t *testing.T) {
 			payload = payload[:MaxCellPayload]
 		}
 		c := &Cell{CircID: circ, Cmd: Command(cmd), Flags: flags, Payload: payload}
-		wire, err := c.Encode()
-		if err != nil {
+		var wire [CellSize]byte
+		if err := c.encodeInto(&wire); err != nil {
 			return false
 		}
-		got, err := DecodeCell(wire)
-		if err != nil {
+		var got Cell
+		if err := decodeCellView(&got, &wire); err != nil {
 			return false
 		}
-		return got.CircID == c.CircID && got.Cmd == c.Cmd &&
-			got.Flags == c.Flags && bytes.Equal(got.Payload, c.Payload)
+		return sameCell(&got, c)
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

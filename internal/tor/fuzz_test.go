@@ -1,22 +1,19 @@
 package tor
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // FuzzDecodeCell feeds arbitrary wire bytes (zero-padded or cut to one
-// cell) to DecodeCell. It must never panic, and a cell it accepts must
-// survive a round trip: DecodeCell(Encode(DecodeCell(x))) equals
-// DecodeCell(x).
+// cell) to decodeCellView. It must never panic, and a cell it accepts
+// must survive a round trip through encodeInto and decodeCellView
+// unchanged.
 func FuzzDecodeCell(f *testing.F) {
 	for _, c := range []Cell{
 		{CircID: 1, Cmd: CmdData, Payload: []byte("hello")},
 		{CircID: 1<<64 - 1, Cmd: CmdIntroduce1, Flags: flagMore, Payload: make([]byte, MaxCellPayload)},
 		{CircID: 7, Cmd: CmdEnd},
 	} {
-		wire, err := c.Encode()
-		if err != nil {
+		var wire [CellSize]byte
+		if err := c.encodeInto(&wire); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(wire[:])
@@ -26,19 +23,19 @@ func FuzzDecodeCell(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var raw [CellSize]byte
 		copy(raw[:], data)
-		c, err := DecodeCell(raw)
-		if err != nil {
+		var c Cell
+		if err := decodeCellView(&c, &raw); err != nil {
 			return
 		}
-		wire, err := c.Encode()
-		if err != nil {
+		var wire [CellSize]byte
+		if err := c.encodeInto(&wire); err != nil {
 			t.Fatalf("decoded cell %+v does not encode: %v", c, err)
 		}
-		again, err := DecodeCell(wire)
-		if err != nil {
+		var again Cell
+		if err := decodeCellView(&again, &wire); err != nil {
 			t.Fatalf("re-encoded cell does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(again, c) {
+		if !sameCell(&again, &c) {
 			t.Fatalf("round trip changed %+v into %+v", c, again)
 		}
 	})

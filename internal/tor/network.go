@@ -487,42 +487,3 @@ func (n *Network) Bootstrap(numRelays int) error {
 	n.StartConsensusSchedule()
 	return nil
 }
-
-// pickPath selects a circuit path of cfg.PathLen distinct relays ending
-// at terminal (terminal may be zero-valued for "any"), excluding none.
-func (n *Network) pickPath(terminal Fingerprint) ([]*Relay, error) {
-	c := n.consensus
-	if c == nil {
-		return nil, ErrNoConsensus
-	}
-	exclude := map[Fingerprint]struct{}{}
-	var terminalRelay *Relay
-	hops := n.cfg.PathLen
-	if terminal != (Fingerprint{}) {
-		terminalRelay = n.relays[terminal]
-		if terminalRelay == nil {
-			return nil, fmt.Errorf("tor: terminal relay %s not found", terminal)
-		}
-		exclude[terminal] = struct{}{}
-		hops--
-	}
-	// Skip-and-resample dead consensus entries, as in OnionProxy.pickPath:
-	// the consensus may list relays that died since publication.
-	path := make([]*Relay, 0, n.cfg.PathLen)
-	for len(path) < hops {
-		fps := c.PickRelays(n.rng, hops-len(path), exclude)
-		if len(fps) < hops-len(path) {
-			return nil, fmt.Errorf("%w: need %d, consensus offers %d", ErrNotEnoughRelays, hops, len(path)+len(fps))
-		}
-		for _, fp := range fps {
-			exclude[fp] = struct{}{}
-			if r := n.relays[fp]; r != nil {
-				path = append(path, r)
-			}
-		}
-	}
-	if terminalRelay != nil {
-		path = append(path, terminalRelay)
-	}
-	return path, nil
-}

@@ -265,8 +265,8 @@ func TestRelaysObserveOnlyEncryptedCells(t *testing.T) {
 		if err := from.Send([]byte(msg)); err != nil {
 			t.Fatal(err)
 		}
-		plain, err := (&Cell{Cmd: CmdData, Payload: []byte(msg)}).Encode()
-		if err != nil {
+		var plain [CellSize]byte
+		if err := (&Cell{Cmd: CmdData, Payload: []byte(msg)}).encodeInto(&plain); err != nil {
 			t.Fatal(err)
 		}
 		// Forward over the sender's circuit: guard, middle, rendezvous
