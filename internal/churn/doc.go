@@ -41,8 +41,6 @@
 //   - RelayCrash: Poisson relay crashes with exponential restarts.
 //   - HSDirOutage: a correlated wave removing a contiguous arc of the
 //     HSDir ring, optionally centered on one service's directories.
-//   - IntroFailure: per-dial introduction failures, installed as a
-//     network hook and removed by Engine.Stop.
 //
 // # Determinism
 //

@@ -62,15 +62,12 @@ const (
 	KindRestart
 	// KindOutage is a correlated wave removing several relays at once.
 	KindOutage
-	// KindIntroFault is one INTRODUCE1 cell eaten by an intro fault.
-	KindIntroFault
 )
 
 // kindNames are the Kind strings, which are also the trace wire form.
 var kindNames = [...]string{
 	KindJoin: "join", KindLeave: "leave", KindTakedown: "takedown",
 	KindCrash: "crash", KindRestart: "restart", KindOutage: "outage",
-	KindIntroFault: "intro-fault",
 }
 
 // String names the kind.
@@ -116,9 +113,6 @@ type Engine struct {
 	trace   []Event
 	stopped bool
 	names   map[string]struct{}
-	// onStop runs once at Stop time; processes that install standing
-	// hooks (IntroFailure) register their uninstall here.
-	onStop []func()
 }
 
 // NewEngine creates an engine driving target on sched. seed is the
@@ -163,18 +157,9 @@ func (e *Engine) Attach(p Process) error {
 }
 
 // Stop halts every attached process: events already on the scheduler
-// still fire but become no-ops, and standing hooks (intro faults) are
-// uninstalled. Use it to freeze the target for post-run measurement.
-func (e *Engine) Stop() {
-	if e.stopped {
-		return
-	}
-	e.stopped = true
-	for _, fn := range e.onStop {
-		fn()
-	}
-	e.onStop = nil
-}
+// still fire but become no-ops. Use it to freeze the target for
+// post-run measurement.
+func (e *Engine) Stop() { e.stopped = true }
 
 // Trace returns a copy of the recorded event trace, in firing order.
 func (e *Engine) Trace() []Event { return append([]Event(nil), e.trace...) }
@@ -187,10 +172,10 @@ func (e *Engine) Counts() (joined, left, takendown int) {
 }
 
 // FaultCounts tallies the relay fault events: relays crashed, relays
-// restarted, relays removed by outage waves, and intro faults injected.
-func (e *Engine) FaultCounts() (crashed, restarted, outaged, introFaults int) {
+// restarted, and relays removed by outage waves.
+func (e *Engine) FaultCounts() (crashed, restarted, outaged int) {
 	c := e.tally()
-	return c[KindCrash], c[KindRestart], c[KindOutage], c[KindIntroFault]
+	return c[KindCrash], c[KindRestart], c[KindOutage]
 }
 
 // tally sums event counts per kind.

@@ -38,7 +38,7 @@ func TestSpecParseValidateLabel(t *testing.T) {
 	good := []struct{ in, label string }{
 		{`{"crash_rate": 6, "restart_h": 1}`, "faults;crash=6;restart=1"},
 		{`{"outage_frac": 0.3, "outage_at_h": 2, "outage_targeted": true}`, "faults;outage=0.3;at=2;tgt"},
-		{`{"intro_fail_p": 0.2, "retry_attempts": 3, "retry_backoff_s": 300}`, "faults;introp=0.2;retry=3;bo=300"},
+		{`{"crash_rate": 6, "retry_attempts": 3, "retry_backoff_s": 300}`, "faults;crash=6;retry=3;bo=300"},
 		{`{"retry_attempts": 1}`, "faults;retry=1"},
 	}
 	for _, c := range good {
@@ -62,12 +62,12 @@ func TestSpecParseValidateLabel(t *testing.T) {
 		`{"outage_frac": 1.5}`,
 		`{"outage_at_h": 2}`,
 		`{"outage_targeted": true}`,
-		`{"intro_fail_p": 2}`,
 		`{"retry_attempts": -1}`,
 		`{"retry_backoff_s": 30}`,
 		`{"retry_backoff_s": 30, "retry_attempts": 1}`,
 		`{"outage": 0.5}`,         // unknown field
-		`{"intro_fail_p": 0.2}]]`, // trailing content
+		`{"intro_fail_p": 0.2}`,   // unknown field
+		`{"retry_attempts": 1}]]`, // trailing content
 	}
 	for _, in := range bad {
 		if _, err := ParseFaultSpec([]byte(in)); err == nil {
@@ -95,7 +95,7 @@ func TestRelayCrashDeterminismAndRestart(t *testing.T) {
 	if relays1 != relays2 {
 		t.Fatalf("final relay counts differ: %d vs %d", relays1, relays2)
 	}
-	crashed, restarted, _, _ := func() (int, int, int, int) {
+	crashed, restarted, _ := func() (int, int, int) {
 		sched, n := newTestNetwork(t, 11, 10, 12)
 		e := NewEngine(sched, 99, NewRelayTarget(n))
 		if err := e.Attach(&RelayCrash{Rate: 8, MeanRestart: 30 * time.Minute}); err != nil {
@@ -125,7 +125,7 @@ func TestRelayCrashSparesHSDirs(t *testing.T) {
 	}
 	sched.RunFor(24 * time.Hour)
 	e.Stop()
-	crashed, _, _, _ := e.FaultCounts()
+	crashed, _, _ := e.FaultCounts()
 	if crashed == 0 {
 		t.Fatal("no crashes at rate 20 over 24h")
 	}
@@ -145,12 +145,12 @@ func TestHSDirOutageWave(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.RunFor(time.Hour)
-	if _, _, outaged, _ := e.FaultCounts(); outaged != 0 {
+	if _, _, outaged := e.FaultCounts(); outaged != 0 {
 		t.Fatal("wave fired before its instant")
 	}
 	sched.RunFor(90 * time.Minute)
 	e.Stop()
-	_, _, outaged, _ := e.FaultCounts()
+	_, _, outaged := e.FaultCounts()
 	want := int(0.3*float64(before) + 0.5)
 	if outaged != want {
 		t.Fatalf("outage removed %d of %d dirs, want %d", outaged, before, want)
@@ -198,32 +198,6 @@ func TestHSDirOutageTargetsService(t *testing.T) {
 	}
 }
 
-func TestIntroFailureInjectsAndUninstalls(t *testing.T) {
-	sched, n := newTestNetwork(t, 41, 12, 0)
-	id := tor.IdentityFromSeed([32]byte{41})
-	server := tor.NewProxy(n)
-	hs, err := server.Host(id, func(*tor.Conn) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(sched, 23, NewRelayTarget(n))
-	if err := e.Attach(&IntroFailure{P: 1}); err != nil {
-		t.Fatal(err)
-	}
-	client := tor.NewProxy(n)
-	if _, err := client.Dial(hs.Onion()); err == nil {
-		t.Fatal("dial succeeded under a certain intro fault")
-	}
-	if _, _, _, introFaults := e.FaultCounts(); introFaults == 0 {
-		t.Fatal("intro fault fired but trace recorded nothing")
-	}
-	// Stop uninstalls the hook: dials work again.
-	e.Stop()
-	if _, err := tor.NewProxy(n).Dial(hs.Onion()); err != nil {
-		t.Fatalf("dial still failing after Stop: %v", err)
-	}
-}
-
 func TestEngineRejectsDuplicateNames(t *testing.T) {
 	sched, n := newTestNetwork(t, 51, 6, 0)
 	e := NewEngine(sched, 1, NewRelayTarget(n))
@@ -255,14 +229,14 @@ func TestEngineStopFreezesProcesses(t *testing.T) {
 
 func TestSpecAttachComposition(t *testing.T) {
 	sched, n := newTestNetwork(t, 71, 12, 10)
-	spec := FaultSpec{CrashRate: 10, RestartH: 0.5, IntroFailP: 0.1, RetryAttempts: 2}
+	spec := FaultSpec{CrashRate: 10, RestartH: 0.5, RetryAttempts: 2}
 	e := NewEngine(sched, 5, NewRelayTarget(n))
 	if err := spec.Attach(e, ""); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunFor(12 * time.Hour)
 	e.Stop()
-	crashed, _, _, _ := e.FaultCounts()
+	crashed, _, _ := e.FaultCounts()
 	if crashed == 0 {
 		t.Fatal("composed spec never crashed a relay")
 	}
@@ -285,7 +259,7 @@ func TestSpecAttachComposition(t *testing.T) {
 	}
 }
 
-// runGoldenFaultPlane runs all three fault processes against one network
+// runGoldenFaultPlane runs both fault processes against one network
 // with a hosted service that fresh clients dial every half hour, and
 // returns the engine's trace.
 func runGoldenFaultPlane(t *testing.T) []Event {
@@ -299,7 +273,6 @@ func runGoldenFaultPlane(t *testing.T) []Event {
 	for _, p := range []Process{
 		&RelayCrash{Rate: 2, MeanRestart: time.Hour},
 		&HSDirOutage{After: 2 * time.Hour, Frac: 0.3, Service: hs.Onion()},
-		&IntroFailure{P: 0.5},
 	} {
 		if err := e.Attach(p); err != nil {
 			t.Fatal(err)
@@ -362,7 +335,7 @@ func TestFaultTraceRoundTripsButDoesNotReplay(t *testing.T) {
 func TestFaultProcessesRejectMembershipTargets(t *testing.T) {
 	sched := sim.NewScheduler()
 	e := NewEngine(sched, 1, &countTarget{n: 10})
-	for _, p := range []Process{&RelayCrash{Rate: 1}, &HSDirOutage{Frac: 0.5}, &IntroFailure{P: 0.5}} {
+	for _, p := range []Process{&RelayCrash{Rate: 1}, &HSDirOutage{Frac: 0.5}} {
 		if err := e.Attach(p); err == nil || !strings.Contains(err.Error(), "not a relay network") {
 			t.Errorf("%s on a bot population: got %v", p.Name(), err)
 		}

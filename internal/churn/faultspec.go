@@ -18,7 +18,7 @@ import (
 //
 //	{"crash_rate": 6, "restart_h": 1}
 //	{"outage_frac": 0.3, "outage_at_h": 2, "outage_targeted": true}
-//	{"intro_fail_p": 0.2, "retry_attempts": 3, "retry_backoff_s": 300}
+//	{"crash_rate": 6, "retry_attempts": 3, "retry_backoff_s": 300}
 type FaultSpec struct {
 	// CrashRate enables a RelayCrash process: mean relay crashes per
 	// virtual hour.
@@ -35,9 +35,6 @@ type FaultSpec struct {
 	// OutageTargeted centers the wave on the focal service an experiment
 	// passes to Attach (typically its C&C). Requires OutageFrac.
 	OutageTargeted bool `json:"outage_targeted,omitempty"`
-	// IntroFailP enables an IntroFailure process: per-dial introduction
-	// failure probability, in (0, 1].
-	IntroFailP float64 `json:"intro_fail_p,omitempty"`
 	// RetryAttempts is the client dial budget including the first
 	// attempt; 0 or 1 means no retries. See RetryPolicy.
 	RetryAttempts int `json:"retry_attempts,omitempty"`
@@ -83,9 +80,6 @@ func (s FaultSpec) Validate() error {
 	}
 	if (s.OutageAtH > 0 || s.OutageTargeted) && s.OutageFrac == 0 {
 		return fmt.Errorf("faults: outage_at_h/outage_targeted without outage_frac")
-	}
-	if s.IntroFailP < 0 || s.IntroFailP > 1 {
-		return fmt.Errorf("faults: intro_fail_p %g outside [0, 1]", s.IntroFailP)
 	}
 	if s.RetryAttempts < 0 {
 		return fmt.Errorf("faults: negative retry_attempts %d", s.RetryAttempts)
@@ -145,9 +139,6 @@ func (s FaultSpec) processes(targetService string) []Process {
 		}
 		out = append(out, o)
 	}
-	if s.IntroFailP > 0 {
-		out = append(out, &IntroFailure{P: s.IntroFailP})
-	}
 	return out
 }
 
@@ -185,7 +176,6 @@ func (s FaultSpec) Label() string {
 	if s.OutageTargeted {
 		b.WriteString(";tgt")
 	}
-	part("introp", s.IntroFailP)
 	part("retry", float64(s.RetryAttempts))
 	part("bo", s.RetryBackoffS)
 	return b.String()

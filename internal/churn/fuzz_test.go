@@ -89,10 +89,11 @@ func FuzzParseTrace(f *testing.F) {
 func FuzzParseFaultSpec(f *testing.F) {
 	f.Add([]byte(`{"crash_rate": 6, "restart_h": 1}`))
 	f.Add([]byte(`{"outage_frac": 0.3, "outage_at_h": 2, "outage_targeted": true}`))
-	f.Add([]byte(`{"intro_fail_p": 0.2, "retry_attempts": 3, "retry_backoff_s": 300}`))
+	f.Add([]byte(`{"crash_rate": 6, "retry_attempts": 3, "retry_backoff_s": 300}`))
 	f.Add([]byte(`{"outage_frac": 1.5}`))
 	f.Add([]byte(`{"restart_h": 1}`))
-	f.Add([]byte(`{"intro_fail_p": 0.2}]]`))
+	f.Add([]byte(`{"intro_fail_p": 0.2}`))
+	f.Add([]byte(`{"retry_attempts": 1}]]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseFaultSpec(data)
 		if err != nil {

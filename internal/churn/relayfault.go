@@ -51,9 +51,8 @@ func (t *RelayTarget) Leave(rng *sim.RNG) bool {
 // to.
 type faultProcess interface{ relayFault() }
 
-func (*RelayCrash) relayFault()   {}
-func (*HSDirOutage) relayFault()  {}
-func (*IntroFailure) relayFault() {}
+func (*RelayCrash) relayFault()  {}
+func (*HSDirOutage) relayFault() {}
 
 // checkRelayTarget rejects a target a fault process cannot drive. A nil
 // target passes: FaultSpec validates its processes without a network.
@@ -240,44 +239,5 @@ func (o *HSDirOutage) attach(e *Engine, rng *sim.RNG) {
 		if removed > 0 {
 			e.record(name, KindOutage, removed)
 		}
-	})
-}
-
-// IntroFailure makes each client introduction attempt fail with
-// probability P: the INTRODUCE1 cell is eaten in flight, the dial
-// stalls and fails exactly as if the intro point silently dropped it.
-// Unlike the crash processes it removes nothing — it models flaky
-// intro-point paths, and is the fault the dial retry policy pays off
-// against fastest. The per-dial decision draws from this process's
-// substream via Network.SetIntroFault, so arming it never perturbs the
-// network's main random stream.
-type IntroFailure struct {
-	// P is the per-dial failure probability, required in (0, 1].
-	P float64
-	// Label overrides the process name ("intro-failure" by default).
-	Label string
-}
-
-// Name implements Process.
-func (f *IntroFailure) Name() string { return cmp.Or(f.Label, "intro-failure") }
-
-func (f *IntroFailure) validate(t Target) error {
-	if err := checkRelayTarget(f.Name(), t); err != nil {
-		return err
-	}
-	if f.P <= 0 || f.P > 1 {
-		return fmt.Errorf("faults: %s: probability %g outside (0, 1]", f.Name(), f.P)
-	}
-	return nil
-}
-
-func (f *IntroFailure) attach(e *Engine, rng *sim.RNG) {
-	name := f.Name()
-	net := e.target.(*RelayTarget).net
-	net.SetIntroFault(f.P, rng, func() {
-		e.record(name, KindIntroFault, 1)
-	})
-	e.onStop = append(e.onStop, func() {
-		net.SetIntroFault(0, nil, nil)
 	})
 }

@@ -130,11 +130,11 @@ var axes = [...]axisDesc{
 		check: func(s *Sweep, i int) error { return s.Faults[i].Validate() },
 		set:   func(p *Params, s *Sweep, i int) { p.Faults = &s.Faults[i] },
 		numeric: func(s *Sweep) ([]float64, string) {
-			return ladder(len(s.Faults), []string{"crash_rate", "restart_h", "outage_frac", "outage_at_h", "intro_fail_p", "retries", "backoff_s"},
+			return ladder(len(s.Faults), []string{"crash_rate", "restart_h", "outage_frac", "outage_at_h", "retries", "backoff_s"},
 				func(i int) (any, []float64) {
 					sp := s.Faults[i]
 					return sp.OutageTargeted, []float64{sp.CrashRate, sp.RestartH, sp.OutageFrac, sp.OutageAtH,
-						sp.IntroFailP, float64(sp.RetryAttempts), sp.RetryBackoffS}
+						float64(sp.RetryAttempts), sp.RetryBackoffS}
 				})
 		},
 	},

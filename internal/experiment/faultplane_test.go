@@ -166,11 +166,11 @@ func TestSweepFaultsAxisValidation(t *testing.T) {
 		{"unknown field",
 			`{"experiments":["hsdir-outage"],"faults":[{"outage": 0.5}]}`, "unknown field"},
 		{"duplicate",
-			`{"experiments":["hsdir-outage"],"faults":[{"intro_fail_p":0.5},{"intro_fail_p":0.5}]}`, "duplicate faults spec"},
+			`{"experiments":["hsdir-outage"],"faults":[{"crash_rate":2},{"crash_rate":2}]}`, "duplicate faults spec"},
 		{"threshold unswept",
 			`{"experiments":["hsdir-outage"],"thresholds":[{"series":"x","axis":"faults","above":1}]}`, "not swept"},
 		{"axis not read",
-			`{"experiments":["fig3"],"faults":[{"intro_fail_p":0.5}]}`, "no experiment in [fig3] reads the faults axis"},
+			`{"experiments":["fig3"],"faults":[{"crash_rate":2}]}`, "no experiment in [fig3] reads the faults axis"},
 	}
 	for _, c := range cases {
 		if _, err := ParseSweep([]byte(c.spec)); err == nil || !strings.Contains(err.Error(), c.wantErr) {
@@ -206,13 +206,13 @@ func TestParamsFaultsOverride(t *testing.T) {
 	if !ok {
 		t.Fatal("relay-outage not registered")
 	}
-	spec := churn.FaultSpec{IntroFailP: 0.5, RetryAttempts: 2, RetryBackoffS: 30}
+	spec := churn.FaultSpec{CrashRate: 7, RetryAttempts: 2, RetryBackoffS: 30}
 	results, err := def.Run(Params{Quick: true, Seed: 3, N: 6, Faults: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	notes := strings.Join(results[0].Notes, "\n")
-	if !strings.Contains(notes, "introp=0.5") {
+	if !strings.Contains(notes, "crash=7;retry=2;bo=30") {
 		t.Fatalf("spec override not honored in notes:\n%s", notes)
 	}
 }

@@ -202,13 +202,13 @@ func RunHSDirOutage(cfg HSDirOutageConfig) (*Result, error) {
 		Series{Name: "outage-window-reachability", Points: []Point{{X: 0, Y: windowReach}}},
 		Series{Name: "final-reachability", Points: []Point{{X: 0, Y: finalReach}}})
 
-	crashed, restarted, outaged, introFaults := eng.FaultCounts()
+	crashed, restarted, outaged := eng.FaultCounts()
 	st := bn.Net.Stats()
-	res.AddNote("faults %s: %d crashed, %d restarted, %d outaged, %d intro faults",
-		cfg.Spec.Label(), crashed, restarted, outaged, introFaults)
+	res.AddNote("faults %s: %d crashed, %d restarted, %d outaged",
+		cfg.Spec.Label(), crashed, restarted, outaged)
 	res.AddNote("window probes: %d/%d reached C&C (%d completed); final probes %d/%d",
 		winOK, cfg.Probes, winDone, finalOK, cfg.Probes)
-	res.AddNote("network: %d dial failures, %d retries, %d recoveries, %d intro faults injected, %d publish repairs",
-		st.DialFailures, st.DialRetries, st.DialRecoveries, st.IntroFaultsInjected, st.PublishRepairs)
+	res.AddNote("network: %d dial failures, %d retries, %d recoveries, %d publish repairs",
+		st.DialFailures, st.DialRetries, st.DialRecoveries, st.PublishRepairs)
 	return res, nil
 }

@@ -215,10 +215,10 @@ func RunRelayOutage(cfg RelayOutageConfig) (*Result, error) {
 		Series{Name: "reachability", Points: []Point{{X: 0, Y: reach}}},
 		Series{Name: "non-quality", Points: []Point{{X: 0, Y: quality}}})
 
-	crashed, restarted, outaged, introFaults := eng.FaultCounts()
+	crashed, restarted, outaged := eng.FaultCounts()
 	st := bn.Net.Stats()
-	res.AddNote("faults %s: %d crashed, %d restarted, %d outaged, %d intro faults",
-		cfg.Spec.Label(), crashed, restarted, outaged, introFaults)
+	res.AddNote("faults %s: %d crashed, %d restarted, %d outaged",
+		cfg.Spec.Label(), crashed, restarted, outaged)
 	if churnEng != nil {
 		joined, left, takendown := churnEng.Counts()
 		res.AddNote("churn %s: %d joined, %d left, %d taken down",
@@ -226,7 +226,7 @@ func RunRelayOutage(cfg RelayOutageConfig) (*Result, error) {
 	}
 	res.AddNote("probes: %d/%d reached C&C (%d completed); non-quality %.3f",
 		probeOK, probes, probeDone, quality)
-	res.AddNote("network: %d dial failures, %d retries, %d recoveries, %d intro faults injected, %d publish repairs",
-		st.DialFailures, st.DialRetries, st.DialRecoveries, st.IntroFaultsInjected, st.PublishRepairs)
+	res.AddNote("network: %d dial failures, %d retries, %d recoveries, %d publish repairs",
+		st.DialFailures, st.DialRetries, st.DialRecoveries, st.PublishRepairs)
 	return res, nil
 }

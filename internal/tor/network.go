@@ -70,15 +70,13 @@ type NetworkStats struct {
 	// attempt, including ones a retry later redeemed). DialRetries
 	// counts re-attempts scheduled by DialAsync under a retry policy;
 	// DialRecoveries counts dials that succeeded after at least one
-	// retry. IntroFaultsInjected counts INTRODUCE1 cells eaten by an
-	// injected intro fault, and PublishRepairs counts descriptor
-	// republishes forced by the responsible-HSDir set moving under a
-	// hidden service (directory loss healing).
-	DialFailures        int
-	DialRetries         int
-	DialRecoveries      int
-	IntroFaultsInjected int
-	PublishRepairs      int
+	// retry. PublishRepairs counts descriptor republishes forced by the
+	// responsible-HSDir set moving under a hidden service (directory
+	// loss healing).
+	DialFailures   int
+	DialRetries    int
+	DialRecoveries int
+	PublishRepairs int
 }
 
 // ErrNoConsensus reports an operation that requires a published
@@ -132,15 +130,6 @@ type Network struct {
 	// msgFree recycles message reassembly buffers (OnionProxy.onData). A
 	// buffer returns here once its Conn handler has returned.
 	msgFree [][]byte
-
-	// Intro-fault injection (churn.IntroFailure): when armed, each
-	// INTRODUCE1 a client sends is eaten with probability introFaultP,
-	// decided by a draw from introFaultRNG — the fault process's
-	// private substream, so arming the fault never perturbs the
-	// network's main random stream.
-	introFaultP    float64
-	introFaultRNG  *sim.RNG
-	introFaultNote func()
 }
 
 // getWire takes a cell buffer off the freelist (or allocates one).
@@ -311,35 +300,6 @@ func (n *Network) AddRelay() (*Relay, error) {
 // choice and break cross-run byte equality).
 func (n *Network) AddRelayWithSeed(seed [32]byte) (*Relay, error) {
 	return n.addRelayWithIdentity(IdentityFromSeed(seed))
-}
-
-// SetIntroFault arms (or with p <= 0 disarms) per-dial introduction
-// failure: each INTRODUCE1 is eaten with probability p, decided by a
-// draw from rng. note, when non-nil, runs once per injected fault so
-// the fault plane can trace injections. The draw always comes from rng,
-// never the network stream — see introFaultRNG.
-func (n *Network) SetIntroFault(p float64, rng *sim.RNG, note func()) {
-	if p <= 0 || rng == nil {
-		n.introFaultP, n.introFaultRNG, n.introFaultNote = 0, nil, nil
-		return
-	}
-	n.introFaultP, n.introFaultRNG, n.introFaultNote = p, rng, note
-}
-
-// introFaultHit decides whether the armed intro fault eats this dial's
-// INTRODUCE1. Always false when no fault is armed.
-func (n *Network) introFaultHit() bool {
-	if n.introFaultRNG == nil {
-		return false
-	}
-	if n.introFaultRNG.Float64() >= n.introFaultP {
-		return false
-	}
-	n.stats.IntroFaultsInjected++
-	if n.introFaultNote != nil {
-		n.introFaultNote()
-	}
-	return true
 }
 
 // InjectRelayAtFingerprint joins a relay whose fingerprint is exactly

@@ -817,11 +817,7 @@ func (p *OnionProxy) dialOnce(onion string) (*Conn, error) {
 	payload = append(payload, sid[:]...)
 	payload = append(payload, rpFP[:]...)
 	payload = append(payload, cookie...)
-	if p.net.introFaultHit() {
-		// The fault plane ate the INTRODUCE1 cell: the intro circuit
-		// stalls exactly as if the intro point had silently dropped it.
-		introCirc.failed = true
-	} else if err := p.send(introCirc, CmdIntroduce1, 0, payload); err != nil {
+	if err := p.send(introCirc, CmdIntroduce1, 0, payload); err != nil {
 		p.teardown(rendCirc)
 		return nil, err
 	}
