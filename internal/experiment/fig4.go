@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 
 	"onionbots/internal/ddsr"
 	"onionbots/internal/graph"
@@ -101,41 +100,35 @@ func RunFig4(cfg Fig4Config) (closeness, degree *Result, err error) {
 		err  error
 	}
 	sweeps := make([]sweep, len(cfg.Degrees))
-	var wg sync.WaitGroup
-	for idx, k := range cfg.Degrees {
-		idx, k := idx, k
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			//onionlint:allow substream -- pre-substream seed schedule pinned by archived Fig 4 runs; k values never collide within one sweep point
-			rng := sim.NewRNG(cfg.Seed + uint64(k))
-			dcfg := ddsr.DefaultConfig(k)
-			dcfg.Pruning = cfg.Pruning
-			overlay, oerr := ddsr.NewRegular(cfg.N, k, dcfg, rng)
-			if oerr != nil {
-				sweeps[idx].err = oerr
-				return
+	fanOut(len(cfg.Degrees), func(idx int) {
+		k := cfg.Degrees[idx]
+		//onionlint:allow substream -- pre-substream seed schedule pinned by archived Fig 4 runs; k values never collide within one sweep point
+		rng := sim.NewRNG(cfg.Seed + uint64(k))
+		dcfg := ddsr.DefaultConfig(k)
+		dcfg.Pruning = cfg.Pruning
+		overlay, oerr := ddsr.NewRegular(cfg.N, k, dcfg, rng)
+		if oerr != nil {
+			sweeps[idx].err = oerr
+			return
+		}
+		perm := rng.Perm(cfg.N)
+		cSeries := Series{Name: fmt.Sprintf("deg=%d", k)}
+		dSeries := Series{Name: fmt.Sprintf("deg=%d", k)}
+		measure := func(deleted int) {
+			g := overlay.Graph()
+			c := graph.AvgCloseness(g, cfg.ClosenessSample, rng)
+			cSeries.Points = append(cSeries.Points, Point{X: float64(deleted), Y: c})
+			dSeries.Points = append(dSeries.Points, Point{X: float64(deleted), Y: graph.AvgDegreeCentrality(g)})
+		}
+		measure(0)
+		for i := 0; i < deletions; i++ {
+			overlay.RemoveNode(perm[i])
+			if (i+1)%cfg.MeasureEvery == 0 || i+1 == deletions {
+				measure(i + 1)
 			}
-			perm := rng.Perm(cfg.N)
-			cSeries := Series{Name: fmt.Sprintf("deg=%d", k)}
-			dSeries := Series{Name: fmt.Sprintf("deg=%d", k)}
-			measure := func(deleted int) {
-				g := overlay.Graph()
-				c := graph.AvgCloseness(g, cfg.ClosenessSample, rng)
-				cSeries.Points = append(cSeries.Points, Point{X: float64(deleted), Y: c})
-				dSeries.Points = append(dSeries.Points, Point{X: float64(deleted), Y: graph.AvgDegreeCentrality(g)})
-			}
-			measure(0)
-			for i := 0; i < deletions; i++ {
-				overlay.RemoveNode(perm[i])
-				if (i+1)%cfg.MeasureEvery == 0 || i+1 == deletions {
-					measure(i + 1)
-				}
-			}
-			sweeps[idx].c, sweeps[idx].d = cSeries, dSeries
-		}()
-	}
-	wg.Wait()
+		}
+		sweeps[idx].c, sweeps[idx].d = cSeries, dSeries
+	})
 	for _, s := range sweeps {
 		if s.err != nil {
 			return nil, nil, s.err

@@ -92,10 +92,6 @@ func RunFig5(cfg Fig5Config) (components, degree, diameter *Result, err error) {
 		XLabel: "nodes deleted", YLabel: "diameter (largest component)",
 	}
 
-	type variant struct {
-		name string
-		m    ddsr.Maintainer
-	}
 	// Both variants start from the same regular graph: the baseline
 	// takes a deep copy of the overlay's graph, which is exactly what a
 	// second build on a fresh NewRNG(cfg.Seed) would produce.
@@ -109,45 +105,82 @@ func RunFig5(cfg Fig5Config) (components, degree, diameter *Result, err error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	variants := []variant{{"DDSR", o}, {"Normal", nrm}}
+	// The two variants own disjoint graphs and RNGs, so each runs on its
+	// own goroutine; the fixed slots keep the series order DDSR, Normal.
+	variants := []ddsr.Maintainer{o, nrm}
+	names := []string{"DDSR", "Normal"}
+	series := make([][3]Series, len(variants))
+	fanOut(len(variants), func(i int) {
+		series[i] = fig5Variant(cfg, names[i], variants[i])
+	})
+	for _, s := range series {
+		components.Series = append(components.Series, s[0])
+		degree.Series = append(degree.Series, s[1])
+		diameter.Series = append(diameter.Series, s[2])
+	}
+	annotateFig5(components, degree, diameter, cfg)
+	return components, degree, diameter, nil
+}
 
-	for _, v := range variants {
-		//onionlint:allow substream -- pre-substream seed schedule pinned by archived Fig 5 runs; relabeling would reshuffle the takedown permutation
-		perm := sim.NewRNG(cfg.Seed + 7).Perm(cfg.N)
-		comp := Series{Name: v.name}
-		deg := Series{Name: v.name}
-		diam := Series{Name: v.name}
-		//onionlint:allow substream -- same pinned schedule, maintenance stream
-		mrng := sim.NewRNG(cfg.Seed + 11)
-		measure := func(deleted int) {
-			g := v.m.Graph()
+// fig5Snapshot is one measuring point handed from the deleting
+// goroutine to the measuring one.
+type fig5Snapshot struct {
+	deleted int
+	ix      *graph.Indexed
+}
+
+// fig5Variant deletes all but three nodes of m in the takedown order
+// and returns the variant's component, degree-centrality and diameter
+// series. The deletions run on one goroutine, which also reads the
+// degree centrality off the live graph; each CSR snapshot is measured
+// on a second goroutine while the deletions after it continue. The
+// hand-off is unbuffered, so at most one snapshot is measured at a time
+// and mrng draws in snapshot order.
+func fig5Variant(cfg Fig5Config, name string, m ddsr.Maintainer) [3]Series {
+	comp, deg, diam := Series{Name: name}, Series{Name: name}, Series{Name: name}
+	//onionlint:allow substream -- pre-substream seed schedule pinned by archived Fig 5 runs; relabeling would reshuffle the takedown permutation
+	perm := sim.NewRNG(cfg.Seed + 7).Perm(cfg.N)
+	//onionlint:allow substream -- same pinned schedule, maintenance stream
+	mrng := sim.NewRNG(cfg.Seed + 11)
+	snaps := make(chan fig5Snapshot)
+	fanOut(2, func(cell int) {
+		if cell == 1 {
+			// If a measurement panics, keep draining so the deleting
+			// goroutine never blocks on a hand-off nobody takes.
+			defer func() {
+				for range snaps {
+				}
+			}()
+			for s := range snaps {
+				comp.Points = append(comp.Points, Point{X: float64(s.deleted), Y: float64(len(s.ix.Components()))})
+				d, _ := s.ix.DiameterApprox(cfg.DiameterSweeps, mrng)
+				diam.Points = append(diam.Points, Point{X: float64(s.deleted), Y: float64(d)})
+			}
+			return
+		}
+		defer close(snaps)
+		take := func(deleted int) {
+			g := m.Graph()
 			if g.NumNodes() == 0 {
 				return
 			}
-			// One CSR snapshot feeds both the component count and the
-			// diameter sweep; the seed built a fresh snapshot for each.
-			ix := g.Snapshot()
-			comp.Points = append(comp.Points, Point{X: float64(deleted), Y: float64(len(ix.Components()))})
 			deg.Points = append(deg.Points, Point{X: float64(deleted), Y: graph.AvgDegreeCentrality(g)})
-			d, _ := ix.DiameterApprox(cfg.DiameterSweeps, mrng)
-			diam.Points = append(diam.Points, Point{X: float64(deleted), Y: float64(d)})
+			// One CSR snapshot feeds both the component count and the
+			// diameter sweep.
+			snaps <- fig5Snapshot{deleted, g.Snapshot()}
 		}
-		measure(0)
+		take(0)
 		// Delete all but a residue of 3 nodes, as the paper's x axes run
 		// essentially to the full population.
 		limit := cfg.N - 3
 		for i := 0; i < limit; i++ {
-			v.m.RemoveNode(perm[i])
+			m.RemoveNode(perm[i])
 			if (i+1)%cfg.MeasureEvery == 0 || i+1 == limit {
-				measure(i + 1)
+				take(i + 1)
 			}
 		}
-		components.Series = append(components.Series, comp)
-		degree.Series = append(degree.Series, deg)
-		diameter.Series = append(diameter.Series, diam)
-	}
-	annotateFig5(components, degree, diameter, cfg)
-	return components, degree, diameter, nil
+	})
+	return [3]Series{comp, deg, diam}
 }
 
 func annotateFig5(components, degree, diameter *Result, cfg Fig5Config) {

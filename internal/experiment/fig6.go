@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 
 	"onionbots/internal/graph"
 	"onionbots/internal/sim"
@@ -87,72 +86,64 @@ func RunFig6(cfg Fig6Config) (*Result, error) {
 		stride = 1
 	}
 	// Every (size, trial) cell is independent with its own RNG: sweep
-	// them in parallel, deterministically.
-	thresholds := make([][]int, len(cfg.Sizes))
-	errs := make([][]error, len(cfg.Sizes))
-	var wg sync.WaitGroup
-	for si, n := range cfg.Sizes {
-		thresholds[si] = make([]int, cfg.Trials)
-		errs[si] = make([]error, cfg.Trials)
-		for trial := 0; trial < cfg.Trials; trial++ {
-			si, n, trial := si, n, trial
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				//onionlint:allow substream -- pre-substream (n, trial) schedule pinned by archived Fig 6 runs; grid points are distinct by construction
-				rng := sim.NewRNG(cfg.Seed + uint64(n)*31 + uint64(trial))
-				g, err := graph.RandomRegular(n, cfg.K, rng)
-				if err != nil {
-					errs[si][trial] = err
-					return
-				}
-				perm := rng.Perm(n)
-				threshold := n // if it never partitions (cannot happen), report n
-				start := int(float64(n) * cfg.CheckFrom)
-				// lag trails g by at most one coarse stride: one clone up
-				// front, then the same deletions replayed a checkpoint
-				// late. When a coarse connectivity check fails, the exact
-				// threshold is fine-scanned on lag — O(1) amortized per
-				// deletion where the seed cloned the whole graph at every
-				// passing checkpoint.
-				lag := g.Clone()
-				lagAt := 0
-				for i := 0; i < n-1; i++ {
-					g.RemoveNode(perm[i])
-					if i+1 < start {
-						continue
-					}
-					coarse := (i+1)%stride == 0 || i+1 == n-1
-					if !coarse {
-						continue
-					}
-					if !g.Connected() {
-						// Fine-scan from the last connected checkpoint.
-						for j := lagAt; j <= i; j++ {
-							lag.RemoveNode(perm[j])
-							if !lag.Connected() {
-								threshold = j + 1
-								break
-							}
-						}
+	// them in parallel, deterministically. Cell c is size c/Trials,
+	// trial c%Trials.
+	cells := len(cfg.Sizes) * cfg.Trials
+	thresholds := make([]int, cells)
+	errs := make([]error, cells)
+	fanOut(cells, func(c int) {
+		n, trial := cfg.Sizes[c/cfg.Trials], c%cfg.Trials
+		//onionlint:allow substream -- pre-substream (n, trial) schedule pinned by archived Fig 6 runs; grid points are distinct by construction
+		rng := sim.NewRNG(cfg.Seed + uint64(n)*31 + uint64(trial))
+		g, err := graph.RandomRegular(n, cfg.K, rng)
+		if err != nil {
+			errs[c] = err
+			return
+		}
+		perm := rng.Perm(n)
+		threshold := n // if it never partitions (cannot happen), report n
+		start := int(float64(n) * cfg.CheckFrom)
+		// lag trails g by at most one coarse stride: one clone up
+		// front, then the same deletions replayed a checkpoint
+		// late. When a coarse connectivity check fails, the exact
+		// threshold is fine-scanned on lag — O(1) amortized per
+		// deletion where the seed cloned the whole graph at every
+		// passing checkpoint.
+		lag := g.Clone()
+		lagAt := 0
+		for i := 0; i < n-1; i++ {
+			g.RemoveNode(perm[i])
+			if i+1 < start {
+				continue
+			}
+			coarse := (i+1)%stride == 0 || i+1 == n-1
+			if !coarse {
+				continue
+			}
+			if !g.Connected() {
+				// Fine-scan from the last connected checkpoint.
+				for j := lagAt; j <= i; j++ {
+					lag.RemoveNode(perm[j])
+					if !lag.Connected() {
+						threshold = j + 1
 						break
 					}
-					for ; lagAt <= i; lagAt++ {
-						lag.RemoveNode(perm[lagAt])
-					}
 				}
-				thresholds[si][trial] = threshold
-			}()
+				break
+			}
+			for ; lagAt <= i; lagAt++ {
+				lag.RemoveNode(perm[lagAt])
+			}
 		}
-	}
-	wg.Wait()
+		thresholds[c] = threshold
+	})
 	for si, n := range cfg.Sizes {
 		total := 0
-		for trial := 0; trial < cfg.Trials; trial++ {
-			if errs[si][trial] != nil {
-				return nil, errs[si][trial]
+		for c := si * cfg.Trials; c < (si+1)*cfg.Trials; c++ {
+			if errs[c] != nil {
+				return nil, errs[c]
 			}
-			total += thresholds[si][trial]
+			total += thresholds[c]
 		}
 		avg := float64(total) / float64(cfg.Trials)
 		measured.Points = append(measured.Points, Point{X: float64(n), Y: avg})

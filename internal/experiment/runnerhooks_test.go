@@ -1,9 +1,14 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"onionbots/internal/ddsr"
+	"onionbots/internal/graph"
+	"onionbots/internal/sim"
 )
 
 // A timed-out task is retried MaxTaskRetries times, every abandoned
@@ -141,4 +146,73 @@ func TestRunnerStoppableMidRun(t *testing.T) {
 	if started == len(tasks) {
 		t.Fatal("stop did not prevent the full run")
 	}
+}
+
+// A panic inside one fan-out cell reaches runTask's recover on the task
+// goroutine: the task fails with the lowest-index cell's panic, every
+// cell still runs to the end, and the test binary keeps running.
+func TestRunnerRecoversFanOutCellPanic(t *testing.T) {
+	const id = "test-fanout-panic"
+	finished := make([]bool, 4)
+	Register(Definition{ID: id, Title: "panics in two of four fan-out cells", Run: func(Params) ([]*Result, error) {
+		fanOut(len(finished), func(i int) {
+			defer func() { finished[i] = true }()
+			if i >= 2 {
+				panic(fmt.Sprintf("cell %d exploded", i))
+			}
+		})
+		return nil, nil
+	}})
+	t.Cleanup(func() {
+		registryMu.Lock()
+		delete(registry, id)
+		registryMu.Unlock()
+	})
+	r := &Runner{}
+	trs, err := r.Run([]Task{{Label: "boom", Experiment: id, Params: Params{Quick: true, Seed: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trs[0].Err == nil || !strings.Contains(trs[0].Error, "panicked: cell 2 exploded") {
+		t.Fatalf("task error = %v, want the panic of cell 2", trs[0].Err)
+	}
+	for i, ok := range finished {
+		if !ok {
+			t.Fatalf("cell %d did not run to the end", i)
+		}
+	}
+	if c := r.Counts(); c.Failed != 1 || c.Completed != 0 {
+		t.Fatalf("counts = %+v, want one failed task", c)
+	}
+}
+
+// panicAt is a Maintainer that panics on its at-th deletion.
+type panicAt struct {
+	ddsr.Maintainer
+	at, removed int
+}
+
+func (p *panicAt) RemoveNode(id int) {
+	if p.removed++; p.removed == p.at {
+		panic("deletion failed")
+	}
+	p.Maintainer.RemoveNode(id)
+}
+
+// A panic on Fig 5's deleting goroutine closes the snapshot hand-off,
+// so the measuring goroutine ends and the panic reaches the caller
+// instead of deadlocking the variant.
+func TestFig5VariantDeletionPanicReachesCaller(t *testing.T) {
+	cfg := Fig5Config{N: 200, K: 6, MeasureEvery: 20, DiameterSweeps: 2, Seed: 1}
+	g, err := graph.RandomRegular(cfg.N, cfg.K, sim.NewRNG(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if p := recover(); p != "deletion failed" {
+			t.Fatalf("recovered %v, want the deletion panic", p)
+		}
+	}()
+	fig5Variant(cfg, "Normal", &panicAt{Maintainer: ddsr.NewNormal(g), at: 50})
+	t.Fatal("fig5Variant returned despite the panic")
 }
