@@ -136,19 +136,19 @@ func (c *sealCipher) Decrypt(key, ciphertext []byte) []byte {
 }
 
 // Schemes constructs the four Table I families plus the OnionBot row.
-// Key material is derived deterministically from the seed so audits are
+// The RSA rows use the package's fixed keys; the OnionBot key and nonces
+// are derived deterministically from the seed so audits are
 // reproducible.
 func Schemes(seed []byte) ([]Scheme, error) {
-	drbg := botcrypto.NewDRBG(append([]byte("table1:"), seed...))
-	rsa512, err := NewRSASigner(512, drbg)
+	rsa512, err := fixedRSASigner(rsa512PEM)
 	if err != nil {
 		return nil, err
 	}
-	rsa2048, err := NewRSASigner(2048, drbg)
+	rsa2048, err := fixedRSASigner(rsa2048PEM)
 	if err != nil {
 		return nil, err
 	}
-	edSigner, err := NewEd25519Signer(drbg)
+	edSigner, err := NewEd25519Signer(botcrypto.NewDRBG(append([]byte("table1:"), seed...)))
 	if err != nil {
 		return nil, err
 	}

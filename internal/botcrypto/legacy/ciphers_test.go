@@ -122,12 +122,11 @@ func TestKeystreamRecoveryDecryptsSecondMessage(t *testing.T) {
 }
 
 func TestSignersVerifyAndReject(t *testing.T) {
-	drbg := newTestDRBG(t)
-	rsa512, err := NewRSASigner(512, drbg)
+	rsa512, err := fixedRSASigner(rsa512PEM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ed, err := NewEd25519Signer(drbg)
+	ed, err := NewEd25519Signer(newTestDRBG(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,10 @@ import (
 	"crypto/ed25519"
 	"crypto/rsa"
 	"crypto/sha256"
+	"crypto/x509"
+	_ "embed"
+	"encoding/pem"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -44,14 +48,29 @@ type RSASigner struct {
 
 var _ Signer = (*RSASigner)(nil)
 
-// NewRSASigner generates a signer of the given modulus size from the
-// entropy source.
-func NewRSASigner(bits int, random io.Reader) (*RSASigner, error) {
-	priv, err := rsa.GenerateKey(random, bits)
-	if err != nil {
-		return nil, fmt.Errorf("legacy: RSA-%d keygen: %w", bits, err)
+// The ZeroAccess v1 and Zeus rows sign with these fixed RSA keys
+// (PKCS#1 PEM, generated once with crypto/rsa). They are public test
+// keys that protect nothing: Table I audits how each scheme is built,
+// not the secrecy of a key, and fixed keys spare every audit an RSA key
+// generation whose output and cost vary from run to run.
+var (
+	//go:embed rsa512.pem
+	rsa512PEM string
+	//go:embed rsa2048.pem
+	rsa2048PEM string
+)
+
+// fixedRSASigner parses one of the embedded keys.
+func fixedRSASigner(keyPEM string) (*RSASigner, error) {
+	block, _ := pem.Decode([]byte(keyPEM))
+	if block == nil {
+		return nil, errors.New("legacy: embedded RSA key is not PEM")
 	}
-	return &RSASigner{bits: bits, priv: priv}, nil
+	priv, err := x509.ParsePKCS1PrivateKey(block.Bytes)
+	if err != nil {
+		return nil, fmt.Errorf("legacy: embedded RSA key: %w", err)
+	}
+	return &RSASigner{bits: priv.N.BitLen(), priv: priv}, nil
 }
 
 // Name implements Signer.
