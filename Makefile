@@ -50,10 +50,12 @@ tools:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
-# race runs the short test set under the race detector. The simulator
-# itself is single-threaded by design; this guards the concurrent
-# surfaces — the experiment runner's worker pool, task timeouts, and
-# result aggregation.
+# race runs the short test set under the race detector. It guards the
+# concurrent surfaces: the experiment runner's worker pool, task
+# timeouts and result aggregation, and the goroutines fig4, fig5 and
+# fig6 fan out inside one task (fanOut, and Fig 5's deletion/measurement
+# hand-off). TestFig5Golden and the fan-out panic tests are not skipped
+# under -short, so they run here against the concurrent code.
 race:
 	$(GO) test -race -short ./...
 
