@@ -14,6 +14,9 @@
 // signing + ReplayGuard) to show all three attacks fail, regenerating
 // the Table I comparison the paper uses to motivate its design.
 //
+// The RSA rows sign with two fixed, public test keys committed with the
+// package (rsa512.pem, rsa2048.pem), so an audit generates no RSA key.
+//
 // These are deliberately weak ciphers reimplemented for a defensive
 // audit harness; nothing here should ever protect real data.
 package legacy
